@@ -11,8 +11,10 @@
 //! least one cell (productivity, enforced by `sling_logic::check_pred_env`
 //! at engine build time; bounded unguarded wrapper hops are absorbed by
 //! `fuel_slack`) — so this crate performs a direct backtracking search
-//! instead (see DESIGN.md §1 for why this substitution is
-//! behaviour-preserving):
+//! instead. The substitution preserves behaviour: both decide the same
+//! judgment on the same finite model, and the search yields the residue
+//! and instantiation directly rather than reading them off a solver
+//! model:
 //!
 //! * points-to atoms consume one available cell and *bind* unbound
 //!   existentials occurring as their root or field values;

@@ -6,8 +6,8 @@
 //! variables. The residue and instantiation are exactly the information
 //! SLING propagates between inference iterations (Algorithm 1).
 //!
-//! See the module docs of the `check` module source for the search strategy and
-//! DESIGN.md for why a direct search replaces the paper's Z3 encoding.
+//! See the `check` module docs for the search strategy and for why a
+//! direct search replaces the paper's Z3 encoding.
 //!
 //! # Example
 //!

@@ -6,52 +6,27 @@
 //! *before* the fault — the paper's Red-black-tree `insert` analysis
 //! (§5.4) relies on exactly this partial-trace behaviour.
 //!
-//! Collection dispatches through an [`Executor`]: the compiled bytecode
-//! tier (`sling_vm`, the default hot path) or the tree-walk interpreter
-//! (`sling_lang::Vm`, kept as the differential-testing oracle). Both
-//! produce identical snapshot streams and identical faults, so the
-//! choice is invisible to everything downstream.
+//! The tree-walk interpreter (`sling_lang::Vm`) recurses natively, a
+//! few Rust frames per MiniC activation, so the depth limit it enforces
+//! is only reachable on a stack sized for it. Collection therefore runs
+//! on a thread of its own whose stack is [`VmConfig::stack_bound`]: a
+//! runaway recursion ends in the typed `StackOverflow` fault at
+//! `max_depth` on whatever thread asked — an engine worker, a serve
+//! connection handler — instead of aborting the process.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use sling_lang::{Location, Program, RtError, Snapshot, TraceConfig, Tracer, Vm, VmConfig};
 use sling_logic::Symbol;
-use sling_vm::{BytecodeVm, CompiledProgram};
 
+use crate::engine::AnalyzeError;
 use crate::request::InputSource;
 
-/// Which execution tier runs the target program during collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Executor {
-    /// Compiled bytecode (`sling_vm::BytecodeVm`) — the default.
-    #[default]
-    Bytecode,
-    /// The tree-walk interpreter (`sling_lang::Vm`) — the reference
-    /// oracle, selectable via `SLING_EXECUTOR=treewalk` or
-    /// `sling-serve --executor treewalk`.
-    Treewalk,
-}
-
-impl Executor {
-    /// Parses an executor name (`"bytecode"` / `"treewalk"`).
-    pub fn parse(s: &str) -> Option<Executor> {
-        match s {
-            "bytecode" => Some(Executor::Bytecode),
-            "treewalk" => Some(Executor::Treewalk),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Executor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Executor::Bytecode => f.write_str("bytecode"),
-            Executor::Treewalk => f.write_str("treewalk"),
-        }
-    }
-}
+/// The largest native stack, in bytes, collection reserves for its
+/// thread (1 GiB of address space; only the pages a run touches are
+/// committed). A `max_depth` whose [`VmConfig::stack_bound`] exceeds
+/// it is refused with [`AnalyzeError::DepthOutOfRange`].
+pub const MAX_COLLECT_STACK: usize = 1 << 30;
 
 /// One traced run of the target function.
 #[derive(Debug, Clone)]
@@ -107,19 +82,53 @@ fn offset_activations(snapshots: &mut [Snapshot], base: u64, activations: u64) -
     base + activations
 }
 
-/// Runs `target` once per input source and collects the traces.
+/// The collection thread's stack for `program` under `vm_config`, or
+/// [`AnalyzeError::DepthOutOfRange`] when it would exceed
+/// [`MAX_COLLECT_STACK`].
+pub(crate) fn collect_stack(program: &Program, vm_config: VmConfig) -> Result<usize, AnalyzeError> {
+    vm_config
+        .stack_bound(program)
+        .filter(|&bytes| bytes <= MAX_COLLECT_STACK)
+        .ok_or(AnalyzeError::DepthOutOfRange(vm_config.max_depth))
+}
+
+/// Runs `target` once per input source and collects the traces, on a
+/// thread whose stack holds `vm_config.max_depth` activations.
 ///
-/// `compiled` is the bytecode form of `program` (see
-/// [`sling_vm::Compiler::compile`]); engines compile once and reuse it
-/// across every request so compilation amortizes over the whole batch.
+/// # Errors
+///
+/// [`AnalyzeError::DepthOutOfRange`] when that stack would exceed
+/// [`MAX_COLLECT_STACK`], and [`AnalyzeError::CollectorSpawn`] when the
+/// operating system refuses the thread.
 pub fn collect_models(
     program: &Program,
-    compiled: &CompiledProgram,
     target: Symbol,
     inputs: &[InputSource],
     vm_config: VmConfig,
     trace_config: TraceConfig,
-    executor: Executor,
+) -> Result<Collected, AnalyzeError> {
+    let stack = collect_stack(program, vm_config)?;
+    std::thread::scope(|scope| {
+        let collector = std::thread::Builder::new()
+            .name("sling-collect".into())
+            .stack_size(stack)
+            .spawn_scoped(scope, || {
+                collect_runs(program, target, inputs, vm_config, trace_config)
+            })
+            .map_err(|e| AnalyzeError::CollectorSpawn(e.kind()))?;
+        Ok(collector
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+    })
+}
+
+/// [`collect_models`] on the calling thread's stack.
+fn collect_runs(
+    program: &Program,
+    target: Symbol,
+    inputs: &[InputSource],
+    vm_config: VmConfig,
+    trace_config: TraceConfig,
 ) -> Collected {
     let mut out = Collected::default();
     // Each run's VM numbers activations from 1; offset them so activation
@@ -127,26 +136,12 @@ pub fn collect_models(
     // validation pairs entry/exit snapshots by activation id).
     let mut base: u64 = 0;
     for input in inputs {
-        let (snapshots, error, activations) = match executor {
-            Executor::Bytecode => {
-                let mut vm = BytecodeVm::new(compiled, vm_config);
-                let args = input.build(&mut vm.heap);
-                vm.set_tracer(Tracer::new(target, trace_config));
-                let result = vm.call(target, &args);
-                let tracer = vm.take_tracer().expect("tracer was installed");
-                (tracer.snapshots, result.err(), vm.activations())
-            }
-            Executor::Treewalk => {
-                let mut vm = Vm::new(program, vm_config);
-                let args = input.build(&mut vm.heap);
-                vm.set_tracer(Tracer::new(target, trace_config));
-                let result = vm.call(target, &args);
-                let tracer = vm.take_tracer().expect("tracer was installed");
-                (tracer.snapshots, result.err(), vm.activations())
-            }
-        };
-        let mut snapshots = snapshots;
-        base = offset_activations(&mut snapshots, base, activations);
+        let mut vm = Vm::new(program, vm_config);
+        let args = input.build(&mut vm.heap);
+        vm.set_tracer(Tracer::new(target, trace_config));
+        let error = vm.call(target, &args).err();
+        let mut snapshots = vm.take_tracer().expect("tracer was installed").snapshots;
+        base = offset_activations(&mut snapshots, base, vm.activations());
         out.runs.push(RunTrace { snapshots, error });
     }
     out
@@ -157,7 +152,6 @@ mod tests {
     use super::*;
     use sling_lang::{check_program, parse_program, RtHeap};
     use sling_models::{StackHeapModel, Val};
-    use sling_vm::Compiler;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -182,50 +176,35 @@ mod tests {
         })
     }
 
-    fn collect_with(executor: Executor) -> Collected {
+    fn collect(p: &Program, target: &str, inputs: &[InputSource]) -> Collected {
+        collect_models(
+            p,
+            sym(target),
+            inputs,
+            VmConfig::default(),
+            TraceConfig::default(),
+        )
+        .expect("default depth fits")
+    }
+
+    #[test]
+    fn collects_across_runs() {
         let p = parse_program(SUM).unwrap();
         check_program(&p).unwrap();
-        let compiled = Compiler::compile(&p);
         let inputs = vec![
             list_builder(&[]),
             list_builder(&[1]),
             list_builder(&[1, 2, 3]),
         ];
-        collect_models(
-            &p,
-            &compiled,
-            sym("sum"),
-            &inputs,
-            VmConfig::default(),
-            TraceConfig::default(),
-            executor,
-        )
-    }
-
-    #[test]
-    fn collects_across_runs() {
-        for executor in [Executor::Bytecode, Executor::Treewalk] {
-            let c = collect_with(executor);
-            assert_eq!(c.runs.len(), 3, "{executor}");
-            assert_eq!(c.faulted_runs(), 0, "{executor}");
-            let by_loc = c.by_location();
-            assert_eq!(by_loc[&Location::Entry].len(), 3);
-            // Loop head: 1 + 2 + 4 hits.
-            assert_eq!(by_loc[&Location::LoopHead(sym("inv"))].len(), 7);
-            assert_eq!(by_loc[&Location::Exit(0)].len(), 3);
-            assert_eq!(c.total_snapshots(), 13);
-        }
-    }
-
-    #[test]
-    fn executors_agree_snapshot_for_snapshot() {
-        let bc = collect_with(Executor::Bytecode);
-        let tw = collect_with(Executor::Treewalk);
-        assert_eq!(bc.runs.len(), tw.runs.len());
-        for (b, t) in bc.runs.iter().zip(&tw.runs) {
-            assert_eq!(b.snapshots, t.snapshots);
-            assert_eq!(b.error, t.error);
-        }
+        let c = collect(&p, "sum", &inputs);
+        assert_eq!(c.runs.len(), 3);
+        assert_eq!(c.faulted_runs(), 0);
+        let by_loc = c.by_location();
+        assert_eq!(by_loc[&Location::Entry].len(), 3);
+        // Loop head: 1 + 2 + 4 hits.
+        assert_eq!(by_loc[&Location::LoopHead(sym("inv"))].len(), 7);
+        assert_eq!(by_loc[&Location::Exit(0)].len(), 3);
+        assert_eq!(c.total_snapshots(), 13);
     }
 
     #[test]
@@ -239,32 +218,41 @@ mod tests {
         )
         .unwrap();
         check_program(&p).unwrap();
-        let compiled = Compiler::compile(&p);
-        for executor in [Executor::Bytecode, Executor::Treewalk] {
-            let inputs = vec![InputSource::custom(|_| vec![Val::Nil])];
-            let c = collect_models(
-                &p,
-                &compiled,
-                sym("bad"),
-                &inputs,
-                VmConfig::default(),
-                TraceConfig::default(),
-                executor,
-            );
-            assert_eq!(c.runs.len(), 1, "{executor}");
-            assert!(c.runs[0].error.is_some(), "{executor}");
-            // Entry and @before were recorded before the crash.
-            assert_eq!(c.runs[0].snapshots.len(), 2, "{executor}");
-        }
+        let c = collect(&p, "bad", &[InputSource::custom(|_| vec![Val::Nil])]);
+        assert_eq!(c.runs.len(), 1);
+        assert!(c.runs[0].error.is_some());
+        // Entry and @before were recorded before the crash.
+        assert_eq!(c.runs[0].snapshots.len(), 2);
     }
 
+    /// Runaway recursion at the default depth faults typed even when
+    /// the caller sits on a small thread: collection brings its own
+    /// stack. A depth whose stack cannot be reserved is a typed error.
     #[test]
-    fn executor_names_round_trip() {
-        for e in [Executor::Bytecode, Executor::Treewalk] {
-            assert_eq!(Executor::parse(&e.to_string()), Some(e));
-        }
-        assert_eq!(Executor::parse("ast"), None);
-        assert_eq!(Executor::default(), Executor::Bytecode);
+    fn runaway_recursion_faults_typed_from_a_small_thread() {
+        let p = parse_program("fn f(n: int) -> int { return f(n + 1); }").unwrap();
+        check_program(&p).unwrap();
+        let inputs = [InputSource::custom(|_| vec![Val::Int(0)])];
+        let c = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn_scoped(s, || collect(&p, "f", &inputs))
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        assert_eq!(c.runs[0].error, Some(RtError::StackOverflow));
+        assert_eq!(c.runs[0].snapshots.len(), VmConfig::default().max_depth);
+
+        let huge = VmConfig {
+            max_depth: usize::MAX / 2,
+            ..VmConfig::default()
+        };
+        let err = collect_models(&p, sym("f"), &inputs, huge, TraceConfig::default());
+        assert_eq!(
+            err.unwrap_err(),
+            AnalyzeError::DepthOutOfRange(usize::MAX / 2)
+        );
     }
 
     /// The collision the old offsetting allowed: a run whose deepest
@@ -293,8 +281,8 @@ mod tests {
         assert_eq!(base, 4);
     }
 
-    /// Cross-run activation ids stay unique (and identical between
-    /// executors) even when the first run faults mid-recursion.
+    /// Cross-run activation ids stay unique even when the first run
+    /// faults mid-recursion.
     #[test]
     fn faulting_runs_keep_activation_ids_unique() {
         let p = parse_program(
@@ -306,38 +294,27 @@ mod tests {
         )
         .unwrap();
         check_program(&p).unwrap();
-        let compiled = Compiler::compile(&p);
-        for executor in [Executor::Bytecode, Executor::Treewalk] {
-            let inputs = vec![
-                // Null x: `x->next` null-derefs right after the entry
-                // snapshot records activation 1, ending run 1 early.
-                InputSource::custom(|_| vec![Val::Nil]),
-                InputSource::custom(|heap: &mut RtHeap| {
-                    let tail = heap.alloc(sym("Cell"), vec![Val::Nil, Val::Int(7)]);
-                    let head = heap.alloc(sym("Cell"), vec![Val::Addr(tail), Val::Int(3)]);
-                    vec![Val::Addr(head)]
-                }),
-            ];
-            let c = collect_models(
-                &p,
-                &compiled,
-                sym("probe"),
-                &inputs,
-                VmConfig::default(),
-                TraceConfig::default(),
-                executor,
-            );
-            assert!(c.runs[0].error.is_some(), "{executor}");
-            // Run 1 consumed activation 1; run 2's two activations are
-            // renumbered 2 and 3 — no reuse across runs.
-            let ids: Vec<u64> = c
-                .runs
-                .iter()
-                .flat_map(|r| r.snapshots.iter().map(|s| s.activation))
-                .collect();
-            assert_eq!(ids[0], 1, "{executor}");
-            let run2: Vec<u64> = c.runs[1].snapshots.iter().map(|s| s.activation).collect();
-            assert_eq!(run2, vec![2, 3, 3, 2], "{executor}");
-        }
+        let inputs = [
+            // Null x: `x->next` null-derefs right after the entry
+            // snapshot records activation 1, ending run 1 early.
+            InputSource::custom(|_| vec![Val::Nil]),
+            InputSource::custom(|heap: &mut RtHeap| {
+                let tail = heap.alloc(sym("Cell"), vec![Val::Nil, Val::Int(7)]);
+                let head = heap.alloc(sym("Cell"), vec![Val::Addr(tail), Val::Int(3)]);
+                vec![Val::Addr(head)]
+            }),
+        ];
+        let c = collect(&p, "probe", &inputs);
+        assert!(c.runs[0].error.is_some());
+        // Run 1 consumed activation 1; run 2's two activations are
+        // renumbered 2 and 3 — no reuse across runs.
+        let ids: Vec<u64> = c
+            .runs
+            .iter()
+            .flat_map(|r| r.snapshots.iter().map(|s| s.activation))
+            .collect();
+        assert_eq!(ids[0], 1);
+        let run2: Vec<u64> = c.runs[1].snapshots.iter().map(|s| s.activation).collect();
+        assert_eq!(run2, vec![2, 3, 3, 2]);
     }
 }

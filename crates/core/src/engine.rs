@@ -116,7 +116,7 @@ use sling_checker::{persist, CacheStats, CheckCache, CheckCtx, EnvProfile, Persi
 use sling_lang::{check_program, parse_program, Location, Program, Snapshot};
 use sling_logic::{check_pred_env, parse_predicates, PredDef, PredEnv, Symbol, TypeEnv};
 
-use crate::collect::Executor;
+use crate::collect::{collect_stack, MAX_COLLECT_STACK};
 use crate::pipeline::{infer_location, run_target, SlingConfig, VerifySettings};
 use crate::remote::RemoteCacheClient;
 use crate::report::{BatchReport, LocationAnalysis, Report};
@@ -175,6 +175,12 @@ impl std::error::Error for BuildError {}
 pub enum AnalyzeError {
     /// The request's target is not a function of the engine's program.
     UnknownTarget(Symbol),
+    /// The request's interpreter depth limit (`vm.max_depth`) needs a
+    /// trace-collection stack larger than [`MAX_COLLECT_STACK`] for
+    /// this program.
+    DepthOutOfRange(usize),
+    /// The operating system refused the trace-collection thread.
+    CollectorSpawn(std::io::ErrorKind),
 }
 
 impl fmt::Display for AnalyzeError {
@@ -182,6 +188,14 @@ impl fmt::Display for AnalyzeError {
         match self {
             AnalyzeError::UnknownTarget(t) => {
                 write!(f, "target `{t}` is not a function of the engine's program")
+            }
+            AnalyzeError::DepthOutOfRange(depth) => write!(
+                f,
+                "vm depth limit {depth} is out of range: its trace-collection stack \
+                 would exceed {MAX_COLLECT_STACK} bytes"
+            ),
+            AnalyzeError::CollectorSpawn(kind) => {
+                write!(f, "could not start the trace-collection thread: {kind}")
             }
         }
     }
@@ -199,7 +213,6 @@ pub struct EngineBuilder {
     cache_path: Option<PathBuf>,
     cache_capacity: Option<usize>,
     parallelism: Option<usize>,
-    executor: Option<Executor>,
     analysis: Option<AnalysisSettings>,
     remote_cache: Option<String>,
     remote_sync_interval: Option<std::time::Duration>,
@@ -312,18 +325,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the execution tier trace collection runs on: the compiled
-    /// bytecode VM (default, the hot path) or the tree-walk interpreter
-    /// (the differential-testing oracle — both produce identical traces,
-    /// so this is a performance knob, not a semantics one). An explicit
-    /// call wins over the `SLING_EXECUTOR` environment variable, which
-    /// in turn wins over the [`SlingConfig::executor`] field; requests
-    /// may still override per call via their own config.
-    pub fn executor(mut self, executor: Executor) -> EngineBuilder {
-        self.executor = Some(executor);
-        self
-    }
-
     /// Joins the distributed entailment-cache tier at `addr` (a
     /// `host:port` served by `sling-serve --cache-server`): every local
     /// cache miss consults the server before searching, fresh verdicts
@@ -396,16 +397,6 @@ impl EngineBuilder {
             }
         }
         let profile = EnvProfile::new(&types, &self.preds);
-        let mut config = self.config;
-        if let Some(executor) = self.executor.or_else(executor_from_env) {
-            config.executor = executor;
-        }
-        // Compile to bytecode once per engine, whatever the executor:
-        // compilation is a single cheap pass, and pre-compiling keeps
-        // per-request `executor` overrides zero-cost either way.
-        let compile_start = std::time::Instant::now();
-        let compiled = sling_vm::Compiler::compile(&program);
-        let compile_seconds = compile_start.elapsed().as_secs_f64();
         let cache = match (self.cache, self.cache_capacity) {
             (Some(shared), _) => shared,
             (None, Some(capacity)) => Arc::new(CheckCache::with_capacity(capacity)),
@@ -444,11 +435,9 @@ impl EngineBuilder {
         });
         Ok(Engine {
             program,
-            compiled,
-            compile_seconds,
             types,
             preds: self.preds,
-            config,
+            config: self.config,
             cache,
             cache_path: self.cache_path,
             warm_entries: AtomicU64::new(warm_entries),
@@ -504,32 +493,6 @@ fn parse_parallelism(var: &str) -> Option<usize> {
     var.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
-/// The environment override for the execution tier: `SLING_EXECUTOR`
-/// set to `bytecode` or `treewalk` (whitespace tolerated). Unset or
-/// empty means no override. An unrecognized value is ignored, but
-/// loudly — same first-rejection-per-process warning policy as
-/// `SLING_PARALLELISM`.
-fn executor_from_env() -> Option<Executor> {
-    let var = std::env::var("SLING_EXECUTOR").ok()?;
-    let trimmed = var.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match Executor::parse(trimmed) {
-        Some(executor) => Some(executor),
-        None => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "sling: ignoring unparsable SLING_EXECUTOR={var:?} \
-                     (want \"bytecode\" or \"treewalk\"); using the configured executor"
-                );
-            });
-            None
-        }
-    }
-}
-
 /// Observer for streaming batch analysis ([`Engine::analyze_all_with`]):
 /// receives each [`Report`] as it completes, before the batch finishes.
 ///
@@ -563,13 +526,6 @@ impl ReportSink for DiscardReports {
 #[derive(Debug)]
 pub struct Engine {
     program: Program,
-    /// The program's bytecode form, compiled once at build so every
-    /// request (and every CEGIR re-collection round) reuses the same
-    /// chunks.
-    compiled: sling_vm::CompiledProgram,
-    /// How long that compilation took, stamped into every report's
-    /// [`RunMetrics::compile_seconds`](crate::RunMetrics).
-    compile_seconds: f64,
     types: TypeEnv,
     preds: PredEnv,
     config: SlingConfig,
@@ -634,13 +590,6 @@ impl Engine {
     /// contains deny-level findings (those fail the build).
     pub fn diagnostics(&self) -> Option<&ProgramAnalysis> {
         self.analysis.as_ref()
-    }
-
-    /// The program's compiled bytecode form (one chunk per function),
-    /// produced once at build time. Useful for inspecting listings via
-    /// [`sling_vm::CompiledProgram::disassemble`].
-    pub fn compiled(&self) -> &sling_vm::CompiledProgram {
-        &self.compiled
     }
 
     /// Cumulative checker-cache counters for this engine's cache.
@@ -736,22 +685,35 @@ impl Engine {
         self.remote.as_ref()
     }
 
+    /// Checks what [`Engine::analyze`] refuses before any work starts:
+    /// an unknown target, or a depth limit whose trace-collection stack
+    /// could not be reserved.
+    fn validate(&self, request: &AnalysisRequest) -> Result<(), AnalyzeError> {
+        if self.program.func(request.target).is_none() {
+            return Err(AnalyzeError::UnknownTarget(request.target));
+        }
+        let config = request.config.as_ref().unwrap_or(&self.config);
+        collect_stack(&self.program, config.vm).map(drop)
+    }
+
     /// Runs one (pre-validated) request with `workers` threads available
     /// for its per-location inference fan-out; the report's cache delta
     /// is left zeroed for the caller to fill in.
-    fn run_request(&self, request: &AnalysisRequest, workers: usize) -> Report {
+    fn run_request(
+        &self,
+        request: &AnalysisRequest,
+        workers: usize,
+    ) -> Result<Report, AnalyzeError> {
         let config = request.config.as_ref().unwrap_or(&self.config);
         let ctx = self.check_ctx(config);
         let mut report = run_target(
             &ctx,
             &self.program,
-            &self.compiled,
             request.target,
             &request.inputs,
             config,
             workers,
-        );
-        report.metrics.compile_seconds = self.compile_seconds;
+        )?;
         if let Some(analysis) = &self.analysis {
             // Surface the build-time static findings scoped to this
             // report's target: warnings ride along, and statically
@@ -766,7 +728,7 @@ impl Engine {
             report.metrics.static_warnings = report.static_warnings.len();
             report.unreachable_locations = analysis.unreachable_in(request.target).to_vec();
         }
-        report
+        Ok(report)
     }
 
     /// Serves one request: collect traces for the target on the
@@ -779,12 +741,21 @@ impl Engine {
     /// locations scales like a batch does; output is identical to a
     /// sequential run, and [`RunMetrics::workers`](crate::RunMetrics)
     /// reports the worker count actually used.
+    ///
+    /// Trace collection runs on a thread of its own sized for the
+    /// request's `vm.max_depth`, so runaway recursion comes back as
+    /// `StackOverflow`-faulted runs on any calling thread.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalyzeError::UnknownTarget`] for a target the program lacks;
+    /// [`AnalyzeError::DepthOutOfRange`] for a depth limit whose
+    /// collection stack would exceed [`MAX_COLLECT_STACK`];
+    /// [`AnalyzeError::CollectorSpawn`] when that thread cannot start.
     pub fn analyze(&self, request: &AnalysisRequest) -> Result<Report, AnalyzeError> {
-        if self.program.func(request.target).is_none() {
-            return Err(AnalyzeError::UnknownTarget(request.target));
-        }
+        self.validate(request)?;
         let before = self.cache.stats();
-        let mut report = self.run_request(request, self.parallelism);
+        let mut report = self.run_request(request, self.parallelism)?;
         report.cache = self.cache.stats().since(&before);
         stamp_remote_metrics(&mut report);
         Ok(report)
@@ -792,8 +763,9 @@ impl Engine {
 
     /// Serves a batch of requests against the shared predicate
     /// environment and checker cache, fanning out over up to
-    /// [`Engine::parallelism`] worker threads. Targets are validated up
-    /// front, so either every request runs or none does.
+    /// [`Engine::parallelism`] worker threads. Targets and depth limits
+    /// are validated up front, so either every request runs or none
+    /// does.
     ///
     /// Reports come back in *request order* and are formula-for-formula
     /// identical to a sequential run regardless of the worker count
@@ -825,9 +797,7 @@ impl Engine {
     {
         let requests: Vec<&AnalysisRequest> = requests.into_iter().collect();
         for request in &requests {
-            if self.program.func(request.target).is_none() {
-                return Err(AnalyzeError::UnknownTarget(request.target));
-            }
+            self.validate(request)?;
         }
         let before = self.cache.stats();
         let workers = self.parallelism.min(requests.len());
@@ -849,7 +819,7 @@ impl Engine {
             let mut reports = Vec::with_capacity(requests.len());
             for (index, request) in requests.iter().enumerate() {
                 let at_start = self.cache.stats();
-                let mut report = self.run_request(request, inner(index));
+                let mut report = self.run_request(request, inner(index))?;
                 report.cache = self.cache.stats().since(&at_start);
                 stamp_remote_metrics(&mut report);
                 sink.report(index, &report);
@@ -861,10 +831,12 @@ impl Engine {
             // lands in its request-index slot, so assembly is
             // deterministic no matter which worker ran what.
             crate::fanout::fan_out(workers, requests.len(), |index| {
-                let report = self.run_request(requests[index], inner(index));
+                let report = self.run_request(requests[index], inner(index))?;
                 sink.report(index, &report);
-                report
+                Ok(report)
             })
+            .into_iter()
+            .collect::<Result<_, _>>()?
         };
         Ok(BatchReport {
             reports,
@@ -1156,6 +1128,34 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_depth_is_a_typed_error_before_any_work() {
+        let engine = Engine::builder()
+            .program_source(SRC)
+            .unwrap()
+            .predicates_source(PREDS)
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut config = SlingConfig::default();
+        config.vm.max_depth = usize::MAX / 4;
+        let deep = AnalysisRequest::new("id").config(config);
+        let err = engine.analyze(&deep).unwrap_err();
+        assert_eq!(err, AnalyzeError::DepthOutOfRange(usize::MAX / 4));
+        assert!(err.to_string().contains("out of range"), "{err}");
+        // A batch with one such request runs none of them.
+        let fine = AnalysisRequest::new("id");
+        let ran = AtomicU64::new(0);
+        let sink = |_: usize, _: &Report| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        };
+        assert_eq!(
+            engine.analyze_all_with([&fine, &deep], &sink).unwrap_err(),
+            err
+        );
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn engines_can_share_a_cache() {
         let shared = Arc::new(CheckCache::new());
         let mk = || {
@@ -1222,55 +1222,12 @@ mod tests {
     }
 
     #[test]
-    fn executor_defaults_to_bytecode_and_builder_overrides() {
-        // The suite itself may run under `SLING_EXECUTOR` (CI's
-        // tree-walk oracle pass does exactly that), so the expected
-        // builder-less resolution is env-then-config, not a constant.
-        let expected = executor_from_env().unwrap_or_default();
-        assert_eq!(Executor::default(), Executor::Bytecode);
-        let engine = Engine::builder()
-            .program_source(SRC)
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(engine.config().executor, expected);
-        // The engine compiles regardless of the executor, so listings
-        // are always inspectable.
-        assert!(engine.compiled().disassemble().contains("fn id"));
-
-        // An explicit builder call wins over the environment.
-        for wanted in [Executor::Treewalk, Executor::Bytecode] {
-            let engine = Engine::builder()
-                .program_source(SRC)
-                .unwrap()
-                .executor(wanted)
-                .build()
-                .unwrap();
-            assert_eq!(engine.config().executor, wanted);
-        }
-    }
-
-    #[test]
-    fn executor_env_parse_paths() {
-        // `executor_from_env` reads the process environment, which is
-        // unsafe to mutate under the parallel test harness; the parse
-        // layer it defers to is covered directly.
-        assert_eq!(Executor::parse("bytecode"), Some(Executor::Bytecode));
-        assert_eq!(Executor::parse("treewalk"), Some(Executor::Treewalk));
-        assert_eq!(Executor::parse("Bytecode"), None, "names are exact");
-        assert_eq!(Executor::parse("interp"), None);
-    }
-
-    #[test]
-    fn reports_carry_collection_and_compile_timings() {
-        // Pin the executor so the test is deterministic even when the
-        // suite runs under `SLING_EXECUTOR` (CI's tree-walk pass does).
+    fn reports_carry_collection_timings() {
         let engine = Engine::builder()
             .program_source(SRC)
             .unwrap()
             .predicates_source(PREDS)
             .unwrap()
-            .executor(Executor::Bytecode)
             .build()
             .unwrap();
         let request = AnalysisRequest::new("id").input(crate::InputSpec::seeded(1).arg(
@@ -1286,9 +1243,7 @@ mod tests {
             ),
         ));
         let report = engine.analyze(&request).unwrap();
-        assert_eq!(report.metrics.executor, Executor::Bytecode);
         assert!(report.metrics.collect_seconds >= 0.0);
-        assert!(report.metrics.compile_seconds > 0.0, "compile was timed");
         assert!(report.metrics.collect_seconds <= report.metrics.seconds);
     }
 

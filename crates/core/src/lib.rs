@@ -126,7 +126,7 @@ mod split;
 mod validate;
 pub mod wire;
 
-pub use collect::{collect_models, Collected, Executor, RunTrace};
+pub use collect::{collect_models, Collected, RunTrace, MAX_COLLECT_STACK};
 pub use engine::{
     default_parallelism, AnalyzeError, BuildError, DiscardReports, Engine, EngineBuilder,
     ReportSink,
@@ -154,4 +154,3 @@ pub use sling_checker::{persist, CacheStats, CheckCache, EnvProfile, MergeStats,
 pub use sling_checker::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};
 pub use sling_checker::{RemoteCache, RemoteEntry, RemoteHit, RemoteLookup, RemoteQuery};
 pub use sling_lang::{DataOrder, ListLayout, TreeKind, TreeLayout};
-pub use sling_vm::{BytecodeVm, CompiledProgram, Compiler};

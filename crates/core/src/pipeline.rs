@@ -19,7 +19,8 @@ use sling_lang::{Location, Program, Snapshot, TraceConfig, VmConfig};
 use sling_logic::{FreshVars, SymHeap, Symbol};
 use sling_models::{Heap, StackHeapModel};
 
-use crate::collect::{collect_models, Executor};
+use crate::collect::collect_models;
+use crate::engine::AnalyzeError;
 use crate::infer::{infer_atom, var_types, InferConfig, VarTy};
 use crate::pure::infer_pure;
 use crate::report::{
@@ -51,10 +52,6 @@ pub struct SlingConfig {
     pub vm: VmConfig,
     /// Tracer behaviour (freed-cell visibility).
     pub trace: TraceConfig,
-    /// Which execution tier collects traces (bytecode by default; the
-    /// tree-walk oracle via `SLING_EXECUTOR=treewalk` or a per-request
-    /// override).
-    pub executor: Executor,
     /// Static verification + CEGIR refinement; `None` leaves every
     /// invariant [`InvariantGrade::Ungraded`]. The `SLING_VERIFY=off`
     /// environment override disables a configured pass at run time.
@@ -71,7 +68,6 @@ impl Default for SlingConfig {
             max_models_per_location: 48,
             vm: VmConfig::default(),
             trace: TraceConfig::default(),
-            executor: Executor::default(),
             verify: None,
         }
     }
@@ -138,6 +134,10 @@ struct Partial {
 /// engine's sharded entailment cache; reports are always assembled in
 /// *location order*, formula-for-formula identical to a sequential run.
 ///
+/// # Errors
+///
+/// The collection errors of [`collect_models`].
+///
 /// # Panics
 ///
 /// Panics if `target` is not a function of `program` (the engine
@@ -145,15 +145,14 @@ struct Partial {
 pub(crate) fn run_target(
     ctx: &CheckCtx<'_>,
     program: &Program,
-    compiled: &sling_vm::CompiledProgram,
     target: Symbol,
     inputs: &[InputSource],
     config: &SlingConfig,
     workers: usize,
-) -> Report {
+) -> Result<Report, AnalyzeError> {
     let settings = match config.verify {
         Some(s) if !verify_disabled_by_env() => s,
-        _ => return run_target_once(ctx, program, compiled, target, inputs, config, workers),
+        _ => return run_target_once(ctx, program, target, inputs, config, workers),
     };
     let start = Instant::now();
     let prover = UnfoldProver::new(settings.prover);
@@ -161,15 +160,7 @@ pub(crate) fn run_target(
     let params = func.params.clone();
 
     let mut inputs: Vec<InputSource> = inputs.to_vec();
-    let mut report = run_target_once(
-        ctx,
-        program,
-        compiled,
-        target,
-        inputs.as_slice(),
-        config,
-        workers,
-    );
+    let mut report = run_target_once(ctx, program, target, &inputs, config, workers)?;
     // Collection time accumulates across refinement rounds so the
     // client-visible number covers every re-run, not just the last.
     let mut collect_total = report.metrics.collect_seconds;
@@ -185,7 +176,7 @@ pub(crate) fn run_target(
         if rounds == 0 {
             refuted_initial = report.graded_count(InvariantGrade::Refuted);
         }
-        if witnesses.is_empty() || rounds >= settings.cegir_rounds {
+        if witnesses.is_empty() {
             break;
         }
         // Counterexample-guided refinement: each witness becomes a
@@ -193,6 +184,8 @@ pub(crate) fn run_target(
         // bring no new evidence — if *none* is new, the refuted
         // invariants survived runs on the very states the prover
         // proposed, so they are re-graded Confirmed instead of looping.
+        // Freshness is decided before the round limit: a final round
+        // whose witnesses are all old inputs still earns that re-grade.
         let mut fresh: Vec<InputSpec> = Vec::new();
         for witness in &witnesses {
             let spec = InputSpec::from_witness(witness, &params);
@@ -214,8 +207,11 @@ pub(crate) fn run_target(
             }
             break;
         }
+        if rounds >= settings.cegir_rounds {
+            break;
+        }
         inputs.extend(fresh.into_iter().map(InputSource::from));
-        report = run_target_once(ctx, program, compiled, target, &inputs, config, workers);
+        report = run_target_once(ctx, program, target, &inputs, config, workers)?;
         collect_total += report.metrics.collect_seconds;
         rounds += 1;
     }
@@ -229,7 +225,7 @@ pub(crate) fn run_target(
     report.metrics.cegir_rounds = rounds;
     report.metrics.verify_seconds = verify_start.elapsed().as_secs_f64();
     report.metrics.seconds = start.elapsed().as_secs_f64();
-    report
+    Ok(report)
 }
 
 /// Grades every invariant at one location against its siblings; returns
@@ -273,22 +269,13 @@ fn grade_location(
 fn run_target_once(
     ctx: &CheckCtx<'_>,
     program: &Program,
-    compiled: &sling_vm::CompiledProgram,
     target: Symbol,
     inputs: &[InputSource],
     config: &SlingConfig,
     workers: usize,
-) -> Report {
+) -> Result<Report, AnalyzeError> {
     let start = Instant::now();
-    let collected = collect_models(
-        program,
-        compiled,
-        target,
-        inputs,
-        config.vm,
-        config.trace,
-        config.executor,
-    );
+    let collected = collect_models(program, target, inputs, config.vm, config.trace)?;
     let collect_seconds = start.elapsed().as_secs_f64();
     let func = program.func(target).expect("target exists");
     let param_order: Vec<Symbol> = func.params.iter().map(|p| p.name).collect();
@@ -322,7 +309,7 @@ fn run_target_once(
         }
     }
 
-    Report {
+    Ok(Report {
         target,
         locations,
         declared_locations: program.locations_of(target),
@@ -333,7 +320,6 @@ fn run_target_once(
             workers,
             seconds: start.elapsed().as_secs_f64(),
             collect_seconds,
-            executor: config.executor,
             ..Default::default()
         },
         cache: Default::default(),
@@ -341,7 +327,7 @@ fn run_target_once(
         // analysis; the raw pipeline has none.
         static_warnings: Vec::new(),
         unreachable_locations: Vec::new(),
-    }
+    })
 }
 
 /// Infers invariants at a single location (Algorithm 1, lines 2–11, plus
@@ -819,17 +805,15 @@ mod tests {
         // the order must be x, tmp, y, res (§2.3).
         let program = parse_program(CONCAT).unwrap();
         check_program(&program).unwrap();
-        let compiled = sling_vm::Compiler::compile(&program);
         let inputs = vec![dll_builder(3, 2)];
         let collected = collect_models(
             &program,
-            &compiled,
             sym("concat"),
             &inputs,
             VmConfig::default(),
             TraceConfig::default(),
-            Executor::default(),
-        );
+        )
+        .unwrap();
         let by_loc = collected.by_location();
         let snaps = &by_loc[&Location::Exit(1)];
         let models: Vec<StackHeapModel> = snaps.iter().map(|s| s.model.clone()).collect();

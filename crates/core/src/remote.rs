@@ -14,14 +14,14 @@
 //! # Protocol
 //!
 //! ```text
-//! client → server   sling7 get <types:u64> <budget:u64> <slack:u64> <text:string>
-//! client → server   sling7 put <types:u64> <n:u64> entry*
-//! client → server   sling7 sync <types:u64> <since:u64>
-//! server → client   sling7 cachehello <entries:u64>          ; banner on accept
-//! server → client   sling7 hit entry                          ; get answers
-//! server → client   sling7 miss
-//! server → client   sling7 entries <watermark:u64> <n:u64> entry*   ; sync answer
-//! server → client   sling7 error <message:string>
+//! client → server   sling8 get <types:u64> <budget:u64> <slack:u64> <text:string>
+//! client → server   sling8 put <types:u64> <n:u64> entry*
+//! client → server   sling8 sync <types:u64> <since:u64>
+//! server → client   sling8 cachehello <entries:u64>          ; banner on accept
+//! server → client   sling8 hit entry                          ; get answers
+//! server → client   sling8 miss
+//! server → client   sling8 entries <watermark:u64> <n:u64> entry*   ; sync answer
+//! server → client   sling8 error <message:string>
 //! entry  := budget:u64 slack:u64 text:string blob npreds:u64 (name:string fp:u64)* gen:u64
 //! blob   := "-" | "x" hex*                                    ; "-" = cached "no" verdict
 //! ```

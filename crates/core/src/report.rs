@@ -6,7 +6,6 @@
 //! accounting lives in [`RunMetrics`] and checker-cache effectiveness in
 //! the re-exported [`CacheStats`].
 
-use crate::collect::Executor;
 use sling_analysis::Diagnostic;
 use sling_checker::CacheStats;
 use sling_lang::Location;
@@ -130,13 +129,6 @@ pub struct RunMetrics {
     /// Wall-clock seconds spent collecting traces (included in
     /// `seconds`), accumulated across every CEGIR re-collection round.
     pub collect_seconds: f64,
-    /// Wall-clock seconds the engine spent compiling the program to
-    /// bytecode at build time — amortized once per engine, *not*
-    /// included in `seconds`. Zero for reports produced outside an
-    /// engine.
-    pub compile_seconds: f64,
-    /// The execution tier that collected this report's traces.
-    pub executor: Executor,
     /// Warning-level static-diagnostics findings for the target function
     /// (the count of [`Report::static_warnings`]). Zero unless the engine
     /// was built with [`crate::EngineBuilder::static_analysis`].

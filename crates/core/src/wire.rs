@@ -7,10 +7,10 @@
 //! space-separated tokens, opened by the protocol tag [`WIRE_VERSION`]
 //! and a frame kind, followed by the typed payload.
 //!
-//! # Grammar (version `sling7`)
+//! # Grammar (version `sling8`)
 //!
 //! ```text
-//! frame      := "sling7" SP kind SP payload          ; one line, LF-terminated on the wire
+//! frame      := "sling8" SP kind SP payload          ; one line, LF-terminated on the wire
 //! token      := atom | string | integer
 //! atom       := [^ "\n]+                             ; bare word (tags, numbers)
 //! string     := '"' escaped* '"'                     ; \\ \" \n \r \t escapes
@@ -31,8 +31,7 @@
 //! config     := node_budget:u64 fuel_slack:u64               ; checker limits
 //!               results_per_var:u64 cands_per_pred:u64 nonvacuous:bool
 //!               results_per_loc:u64 dedupe:bool models_per_loc:u64
-//!               vm_steps:u64 vm_depth:u64 observe_freed:bool
-//!               executor:("bytecode"|"treewalk") verify
+//!               vm_steps:u64 vm_depth:u64 observe_freed:bool verify
 //! verify     := "-" | "v" fuel:u64 depth:u64 models:u64 refs:u64 cegir:u64
 //!
 //! inputspec  := seed:u64 nargs:u64 valuespec*
@@ -50,7 +49,7 @@
 //! metrics    := traces:u64 runs:u64 faulted:u64 workers:u64 seconds:f64bits
 //!               verified:u64 refuted:u64 confirmed:u64 unknown:u64
 //!               refuted0:u64 cegir:u64 vseconds:f64bits cseconds:f64bits
-//!               bseconds:f64bits executor:("bytecode"|"treewalk") swarnings:u64
+//!               swarnings:u64
 //!               rhits:u64 rmisses:u64 rdegraded:u64 rseconds:f64bits
 //! cache      := hits:u64 warm:u64 misses:u64 entries:u64 evictions:u64 resident:u64
 //!               rhits:u64 rmisses:u64 rdegraded:u64 rnanos:u64
@@ -91,7 +90,6 @@ use sling_lang::{DataOrder, ListLayout, Location, TreeKind, TreeLayout};
 use sling_logic::{parse_formula, Span, Symbol};
 use sling_models::{Heap, HeapCell, Loc, Val};
 
-use crate::collect::Executor;
 use crate::pipeline::{SlingConfig, VerifySettings};
 use crate::report::{
     Invariant, InvariantGrade, InvariantStats, LocationAnalysis, Report, RunMetrics,
@@ -101,7 +99,9 @@ use crate::spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
 use crate::CacheStats;
 
 /// Protocol tag opening every frame; bump on any grammar change.
-/// (`sling7` grew `cache` and `metrics` with the remote-tier counters
+/// (`sling8` dropped the executor atom from `config` and `metrics` and
+/// the compile timing from `metrics`, with the bytecode tier gone;
+/// `sling7` grew `cache` and `metrics` with the remote-tier counters
 /// (hits, misses, degraded, round-trip time) — and, in the remote-cache
 /// layer, the `get`/`put`/`sync` productions of the distributed
 /// entailment-cache tier (see [`crate::remote`]);
@@ -118,7 +118,7 @@ use crate::CacheStats;
 /// `sling2` extended `cachestats` with eviction and residency
 /// counters. Older peers are rejected with [`WireError::Version`]
 /// rather than misparsed.)
-pub const WIRE_VERSION: &str = "sling7";
+pub const WIRE_VERSION: &str = "sling8";
 
 /// Why a wire frame could not be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -585,8 +585,8 @@ pub fn read_input_spec(r: &mut WireReader<'_>) -> Result<InputSpec, WireError> {
 }
 
 /// Writes a full [`SlingConfig`] into an open frame (the `config`
-/// production): every numeric budget, the executor tag, and the
-/// optional verification settings.
+/// production): every numeric budget and the optional verification
+/// settings.
 pub fn write_config(w: &mut WireWriter, config: &SlingConfig) {
     w.u64(config.check.node_budget);
     w.u64(u64::from(config.check.fuel_slack));
@@ -599,7 +599,6 @@ pub fn write_config(w: &mut WireWriter, config: &SlingConfig) {
     w.u64(config.vm.max_steps);
     w.u64(config.vm.max_depth as u64);
     w.bool(config.trace.observe_freed);
-    w.atom(&config.executor.to_string());
     match &config.verify {
         None => w.atom("-"),
         Some(v) => {
@@ -632,11 +631,6 @@ pub fn read_config(r: &mut WireReader<'_>) -> Result<SlingConfig, WireError> {
     config.vm.max_steps = r.u64()?;
     config.vm.max_depth = r.usize()?;
     config.trace.observe_freed = r.bool()?;
-    config.executor = {
-        let name = r.atom()?;
-        Executor::parse(name)
-            .ok_or_else(|| WireError::Syntax(format!("unknown executor {name:?}")))?
-    };
     config.verify = match r.atom()? {
         "-" => None,
         "v" => {
@@ -985,8 +979,6 @@ pub fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
     w.u64(m.cegir_rounds as u64);
     w.f64(m.verify_seconds);
     w.f64(m.collect_seconds);
-    w.f64(m.compile_seconds);
-    w.atom(&m.executor.to_string());
     w.u64(m.static_warnings as u64);
     w.u64(m.remote_hits);
     w.u64(m.remote_misses);
@@ -1010,12 +1002,6 @@ pub fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
         cegir_rounds: r.usize()?,
         verify_seconds: r.f64()?,
         collect_seconds: r.f64()?,
-        compile_seconds: r.f64()?,
-        executor: {
-            let name = r.atom()?;
-            Executor::parse(name)
-                .ok_or_else(|| WireError::Syntax(format!("unknown executor {name:?}")))?
-        },
         static_warnings: r.usize()?,
         remote_hits: r.u64()?,
         remote_misses: r.u64()?,
@@ -1283,7 +1269,6 @@ mod tests {
         config.vm.max_steps = u64::MAX;
         config.vm.max_depth = 17;
         config.trace.observe_freed = false;
-        config.executor = Executor::Treewalk;
         let mut verify = crate::VerifySettings::default();
         verify.prover.fuel = u32::MAX;
         verify.prover.max_depth = 5;
@@ -1374,8 +1359,6 @@ mod tests {
             cegir_rounds: 2,
             verify_seconds: 0.1 + 0.7,
             collect_seconds: 0.1 + 0.4,
-            compile_seconds: 1e-7 + 3e-8,
-            executor: Executor::Treewalk,
             static_warnings: 6,
             remote_hits: 7,
             remote_misses: 8,
@@ -1400,6 +1383,12 @@ mod tests {
         assert!(matches!(
             decode_report(&good.replacen(WIRE_VERSION, "sling9", 1)),
             Err(WireError::Version(v)) if v == "sling9"
+        ));
+        // So is the previous grammar's tag: `sling7` frames still carry
+        // the executor atoms, and must not be misparsed.
+        assert!(matches!(
+            decode_report(&good.replacen(WIRE_VERSION, "sling7", 1)),
+            Err(WireError::Version(v)) if v == "sling7"
         ));
         // Wrong frame kind for the decoder.
         assert!(matches!(decode_request(&good), Err(WireError::Syntax(_))));
@@ -1434,14 +1423,6 @@ mod tests {
         assert!(matches!(
             read_value_spec(&mut WireReader::new(&dangling)),
             Err(WireError::Syntax(_))
-        ));
-        // An unknown executor atom in metrics is rejected, not defaulted.
-        let mut w = WireWriter::new();
-        write_metrics(&mut w, &RunMetrics::default());
-        let jit = w.finish().replace("bytecode", "jit");
-        assert!(matches!(
-            read_metrics(&mut WireReader::new(&jit)),
-            Err(WireError::Syntax(e)) if e.contains("jit")
         ));
         // A formula that does not re-parse is a typed Formula error.
         let mut w = WireWriter::frame("report");

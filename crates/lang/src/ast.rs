@@ -1,7 +1,7 @@
 //! Abstract syntax of MiniC.
 //!
 //! MiniC is the C-like substrate the benchmark corpus is written in (see
-//! DESIGN.md: it replaces the C programs + LLDB of the paper). It has
+//! the crate docs: it replaces the C programs + LLDB of the paper). It has
 //! structures with pointer and integer fields, heap allocation and `free`,
 //! lexically scoped locals, conditionals, labelled loops, recursion, and
 //! breakpoint labels `@name;` at which the tracer snapshots stack-heap

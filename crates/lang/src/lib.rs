@@ -2,7 +2,8 @@
 //!
 //! The paper runs C benchmarks under LLDB to snapshot stack-heap states at
 //! breakpoints (§2.2, §5.2). This crate provides the equivalent substrate,
-//! built from scratch (see DESIGN.md §1):
+//! built from scratch so the reproduction needs no C toolchain or
+//! debugger:
 //!
 //! * a small C-like language — structs, pointers, `new`/`free`, lexically
 //!   scoped locals, labelled loops, recursion ([`parse_program`],
@@ -10,7 +11,8 @@
 //! * a tree-walking interpreter with runtime-fault detection
 //!   ([`Vm`], [`RtError`]) — seeded bugs in the corpus surface as faults
 //!   that abort trace collection exactly like the paper's segfaulting
-//!   programs;
+//!   programs; it recurses natively, so [`VmConfig::stack_bound`] tells
+//!   callers how much native stack a run needs;
 //! * an embedded debugger ([`Tracer`]) that records [`Snapshot`]s at
 //!   function entry, `@label;` statements, labelled loop heads, and every
 //!   `return` (with the ghost variable `res`), including the LLDB

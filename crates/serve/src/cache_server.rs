@@ -505,7 +505,7 @@ mod tests {
     fn malformed_and_old_version_frames_get_typed_errors() {
         let server = CacheServer::bind("127.0.0.1:0").expect("bind");
         let mut probe = Probe::connect(server.local_addr());
-        for line in ["sling6 get 1 2 3 \"q\"", "sling7 nonsense", "not a frame"] {
+        for line in ["sling6 get 1 2 3 \"q\"", "sling8 nonsense", "not a frame"] {
             let mut framed = line.to_string();
             framed.push('\n');
             probe

@@ -31,7 +31,7 @@ const USAGE: &str = "\
 usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                    [--addr HOST:PORT] [--cache FILE|DIR] [--snapshot-secs N]
                    [--cache-cap N] [--max-conns N] [--parallelism N]
-                   [--pool-cap N] [--executor bytecode|treewalk] [--verify]
+                   [--pool-cap N] [--verify]
                    [--remote-cache HOST:PORT]
        sling-serve --cache-server [--addr HOST:PORT]
 
@@ -61,10 +61,6 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --pool-cap N        hold at most N uploaded-tenant engines resident,
                       evicting least-recently-used (default 8; the
                       default tenant is pinned and not counted)
-  --executor TIER     execution tier for trace collection: `bytecode`
-                      (compiled stack VM, the default) or `treewalk`
-                      (the reference interpreter — identical traces,
-                      slower). This flag wins over SLING_EXECUTOR
   --verify            grade every inferred invariant with the static
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
@@ -93,7 +89,6 @@ struct Args {
     max_conns: Option<usize>,
     parallelism: Option<usize>,
     pool_cap: Option<usize>,
-    executor: Option<sling::Executor>,
     verify: bool,
     remote_cache: Option<String>,
     cache_server: bool,
@@ -118,7 +113,6 @@ fn parse_args() -> Result<Args, String> {
         max_conns: None,
         parallelism: None,
         pool_cap: None,
-        executor: None,
         verify: false,
         remote_cache: None,
         cache_server: false,
@@ -168,12 +162,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --pool-cap: {e}"))?,
                 );
             }
-            "--executor" => {
-                let name = value("--executor")?;
-                args.executor = Some(sling::Executor::parse(&name).ok_or_else(|| {
-                    format!("bad --executor {name:?}: want `bytecode` or `treewalk`")
-                })?);
-            }
             "--verify" => args.verify = true,
             "--remote-cache" => args.remote_cache = Some(value("--remote-cache")?),
             "--cache-server" => args.cache_server = true,
@@ -204,7 +192,6 @@ fn parse_args() -> Result<Args, String> {
             || args.max_conns.is_some()
             || args.parallelism.is_some()
             || args.pool_cap.is_some()
-            || args.executor.is_some()
             || args.verify
             || args.remote_cache.is_some();
         if incompatible {
@@ -277,9 +264,6 @@ fn build_engine(
     }
     if let Some(workers) = args.parallelism {
         builder = builder.parallelism(workers);
-    }
-    if let Some(executor) = args.executor {
-        builder = builder.executor(executor);
     }
     if args.verify {
         builder = builder.verification(VerifySettings::default());
@@ -413,9 +397,6 @@ fn main() -> ExitCode {
     // Uploaded tenants inherit the daemon's run settings; the default
     // tenant keeps its own (identical) build.
     let mut config = SlingConfig::default();
-    if let Some(executor) = args.executor {
-        config.executor = executor;
-    }
     if args.verify {
         config.verify = Some(VerifySettings::default());
     }
@@ -446,7 +427,7 @@ fn main() -> ExitCode {
     };
     // The boot line is the readiness signal scripts wait for.
     let tenant = match service.engine() {
-        Some(engine) => format!("{} executor", engine.config().executor),
+        Some(_) => "default tenant".to_string(),
         None => "no default tenant — uploads only".to_string(),
     };
     let tier = match &args.remote_cache {

@@ -5,15 +5,15 @@
 //! either names the pre-warmed default tenant (no upload) or carries a
 //! [`ProgramUpload`], which the pool resolves to a built engine —
 //! reusing one built for an identical upload, or running the full build
-//! pipeline (parse → typecheck → static diagnostics → productivity lint
-//! → bytecode compile) on a miss. Uploaded programs pass the
+//! pipeline (parse → typecheck → static diagnostics → productivity lint)
+//! on a miss. Uploaded programs pass the
 //! [`sling::AnalysisSettings`] lint gate by default — a tenant is
 //! untrusted source, and deny-level findings (use-before-init,
 //! unreachable snapshot locations, definite-null dereferences) reject
 //! the upload with the structured findings instead of pooling an engine
 //! that would fault or silently under-infer. Residency is bounded: past the cap, the least-recently-
-//! used engine is evicted (its entailment cache and compiled chunks go
-//! with it; a returning tenant rebuilds and counts a miss).
+//! used engine is evicted (its entailment cache goes with it; a
+//! returning tenant rebuilds and counts a miss).
 //!
 //! Concurrency contract: at most one build runs per distinct upload —
 //! a second batch arriving for the same fingerprint mid-build waits on

@@ -1,18 +1,16 @@
 //! Cross-layer tests for the static diagnostics pass (`sling-analysis`):
 //! corpus-wide agreement between static reachability and the dynamic
 //! collector (a statically-unreachable breakpoint location is never
-//! observed in any trace, under either executor), a fuzz sweep of the
+//! observed in any trace), a fuzz sweep of the
 //! analyzer over randomly generated MiniC ASTs (no panics, fully
 //! deterministic), and the serve-layer upload gate answering lint-dirty
-//! programs with a typed `rejected` frame over `sling7`.
+//! programs with a typed `rejected` frame over `sling8`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sling::{
-    analyze_program, collect_models, lint_codes, AnalysisSettings, Compiler, Executor, Severity,
-};
+use sling::{analyze_program, collect_models, lint_codes, AnalysisSettings, Severity};
 use sling_lang::{check_program, gen_program, parse_program, TraceConfig, VmConfig};
 use sling_logic::Symbol;
 use sling_serve::{
@@ -23,30 +21,13 @@ use sling_suite::corpus::all_benches;
 /// The corpus seed the evaluation harness uses (`EvalConfig::default`).
 const SEED: u64 = 0x51_1e6;
 
-/// Runs `f` on a thread with a large stack: the tree-walk oracle
-/// recurses natively and the seeded-bug programs push the default
-/// `max_depth` (2000) interpreter activations before faulting, which is
-/// deeper than the default test-thread stack affords in debug builds.
-fn with_big_stack(f: impl FnOnce() + Send + 'static) {
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(f)
-        .expect("spawn")
-        .join()
-        .expect("static-analysis differential thread panicked");
-}
-
 /// The soundness half of the unreachable-location lint, checked against
 /// the whole corpus: any breakpoint the CFG pass marks unreachable must
-/// never appear in a dynamic trace — under either executor. (The other
+/// never appear in a dynamic trace. (The other
 /// direction does not hold: a reachable location may still go unvisited
 /// on the particular inputs drawn.)
 #[test]
 fn statically_unreachable_locations_never_observed_dynamically() {
-    with_big_stack(unreachable_differential_impl);
-}
-
-fn unreachable_differential_impl() {
     let benches = all_benches();
     assert!(benches.len() >= 150, "corpus shrank: {}", benches.len());
     for bench in &benches {
@@ -56,27 +37,22 @@ fn unreachable_differential_impl() {
         let analysis = analyze_program(&program, &AnalysisSettings::default());
         let target = Symbol::intern(bench.target);
         let unreachable = analysis.unreachable_in(target);
-        let compiled = Compiler::compile(&program);
-        for executor in [Executor::Bytecode, Executor::Treewalk] {
-            let collected = collect_models(
-                &program,
-                &compiled,
-                target,
-                &bench.inputs(SEED),
-                VmConfig::default(),
-                TraceConfig::default(),
-                executor,
-            );
-            for run in &collected.runs {
-                for snap in &run.snapshots {
-                    assert!(
-                        !unreachable.contains(&snap.location),
-                        "{}: statically-unreachable {} observed dynamically under {:?}",
-                        bench.name,
-                        snap.location,
-                        executor
-                    );
-                }
+        let collected = collect_models(
+            &program,
+            target,
+            &bench.inputs(SEED),
+            VmConfig::default(),
+            TraceConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        for run in &collected.runs {
+            for snap in &run.snapshots {
+                assert!(
+                    !unreachable.contains(&snap.location),
+                    "{}: statically-unreachable {} observed dynamically",
+                    bench.name,
+                    snap.location,
+                );
             }
         }
     }

@@ -248,3 +248,33 @@ fn sort_merge_bug_survives_verification_and_sort_real_verifies() {
     }
     assert_eq!(run.report.metrics.refuted, 0);
 }
+
+/// The CEGIR round limit must not pre-empt the freshness re-grade: at
+/// these seeds `gh_dll/rm`'s final refinement round yields only
+/// witnesses whose inputs already ran, so its refuted invariants have
+/// survived runs on the very states the prover proposed and must end
+/// `Confirmed` — as they do when more rounds are allowed — not stay
+/// `Refuted` because the limit was checked first.
+#[test]
+fn round_limit_still_regrades_witnesses_that_bring_no_new_input() {
+    use sling_suite::corpus::all_benches;
+    use sling_suite::eval::{run_bench, EvalConfig};
+
+    if env_forces_verify_off() {
+        return;
+    }
+    let bench = all_benches()
+        .into_iter()
+        .find(|b| b.name == "gh_dll/rm")
+        .unwrap();
+    for seed in [101, 309, 40_280_172] {
+        let mut config = EvalConfig {
+            seed,
+            ..EvalConfig::default()
+        };
+        config.sling.verify = Some(VerifySettings::default());
+        let m = run_bench(&bench, &config).report.metrics;
+        assert!(m.refuted_initial > 0, "seed {seed}: nothing to refine");
+        assert_eq!(m.refuted, 0, "seed {seed}: {m:?}");
+    }
+}

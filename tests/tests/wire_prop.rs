@@ -1,4 +1,4 @@
-//! Property tests for the `sling::wire` codec and the `sling7` frame
+//! Property tests for the `sling::wire` codec and the `sling8` frame
 //! layer on top of it: arbitrary `InputSpec`/`Report`/`CacheStats`
 //! values round-trip bit-identically, requests round-trip with and
 //! without per-request [`SlingConfig`] overrides, `analyze` frames
@@ -150,11 +150,6 @@ fn arb_config(rng: &mut TestRng) -> SlingConfig {
     config.vm.max_steps = pick_u64(rng);
     config.vm.max_depth = (rng.next_u64() % (1 << 20)) as usize;
     config.trace.observe_freed = rng.next_u64().is_multiple_of(2);
-    config.executor = if rng.next_u64().is_multiple_of(2) {
-        sling::Executor::Bytecode
-    } else {
-        sling::Executor::Treewalk
-    };
     config.verify = rng.next_u64().is_multiple_of(2).then(|| VerifySettings {
         prover: VerifyConfig {
             fuel: rng.next_u64() as u32,
@@ -237,12 +232,6 @@ fn arb_metrics(rng: &mut TestRng) -> RunMetrics {
         cegir_rounds: (rng.next_u64() % 16) as usize,
         verify_seconds: f64::from_bits(pick_u64(rng)),
         collect_seconds: f64::from_bits(pick_u64(rng)),
-        compile_seconds: f64::from_bits(pick_u64(rng)),
-        executor: if rng.next_u64().is_multiple_of(2) {
-            sling::Executor::Bytecode
-        } else {
-            sling::Executor::Treewalk
-        },
         static_warnings: (rng.next_u64() % (1 << 20)) as usize,
         remote_hits: pick_u64(rng),
         remote_misses: pick_u64(rng),
