@@ -116,18 +116,6 @@ pub struct CacheStats {
     /// Approximate bytes currently held by stored entries (key text,
     /// cached reductions, and per-entry bookkeeping).
     pub resident_bytes: u64,
-    /// Local misses answered by the remote cache tier (a subset of
-    /// `misses`: the local lookup misses first, then the remote tier
-    /// answers). Zero when no remote cache is wired.
-    pub remote_hits: u64,
-    /// Local misses the remote tier was asked about and did not have.
-    pub remote_misses: u64,
-    /// Remote lookups skipped or abandoned because the tier was
-    /// degraded (server dead, slow, or in reconnect backoff).
-    pub remote_degraded: u64,
-    /// Cumulative nanoseconds spent on remote round trips (successful
-    /// and failed fetches; queued write-behind publishes are free).
-    pub remote_nanos: u64,
 }
 
 impl CacheStats {
@@ -156,10 +144,6 @@ impl CacheStats {
             entries: self.entries,
             evictions: self.evictions.saturating_sub(earlier.evictions),
             resident_bytes: self.resident_bytes,
-            remote_hits: self.remote_hits.saturating_sub(earlier.remote_hits),
-            remote_misses: self.remote_misses.saturating_sub(earlier.remote_misses),
-            remote_degraded: self.remote_degraded.saturating_sub(earlier.remote_degraded),
-            remote_nanos: self.remote_nanos.saturating_sub(earlier.remote_nanos),
         }
     }
 }
@@ -179,17 +163,6 @@ impl std::fmt::Display for CacheStats {
         }
         if self.evictions > 0 {
             write!(f, ", {} evicted", self.evictions)?;
-        }
-        if self.remote_hits + self.remote_misses > 0 {
-            write!(
-                f,
-                ", {} remote hits / {} remote lookups",
-                self.remote_hits,
-                self.remote_hits + self.remote_misses
-            )?;
-        }
-        if self.remote_degraded > 0 {
-            write!(f, ", {} degraded", self.remote_degraded)?;
         }
         Ok(())
     }
@@ -426,20 +399,6 @@ pub struct CheckCache {
     /// future-stamped sibling (clock skew) still writes snapshots that
     /// win newest-generation collisions with it.
     max_generation: AtomicU64,
-    /// Remote-tier observability, kept on the cache (not the client) so
-    /// the counters ride the existing [`CacheStats`] snapshot/delta
-    /// plumbing — per-request deltas, batch totals, and the wire codec
-    /// all come for free.
-    remote: RemoteCounters,
-}
-
-/// Counters for the remote cache tier ([`crate::remote::RemoteCache`]).
-#[derive(Debug, Default)]
-struct RemoteCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    degraded: AtomicU64,
-    nanos: AtomicU64,
 }
 
 impl Default for CheckCache {
@@ -469,30 +428,7 @@ impl CheckCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(SHARD_COUNT),
             max_generation: AtomicU64::new(0),
-            remote: RemoteCounters::default(),
         }
-    }
-
-    /// Records the outcome of one remote-tier round trip; `nanos` is
-    /// the wall time the fetch took (hit or miss). Called from the
-    /// check hot path, so these are plain relaxed counter bumps.
-    pub(crate) fn note_remote_hit(&self, nanos: u64) {
-        self.remote.hits.fetch_add(1, Ordering::Relaxed);
-        self.remote.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// See [`CheckCache::note_remote_hit`].
-    pub(crate) fn note_remote_miss(&self, nanos: u64) {
-        self.remote.misses.fetch_add(1, Ordering::Relaxed);
-        self.remote.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a remote lookup skipped or abandoned because the tier is
-    /// degraded; `nanos` is nonzero when a round trip was attempted and
-    /// failed partway (timeout, reset).
-    pub(crate) fn note_remote_degraded(&self, nanos: u64) {
-        self.remote.degraded.fetch_add(1, Ordering::Relaxed);
-        self.remote.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Highest snapshot generation this cache has absorbed (0 when it
@@ -527,10 +463,6 @@ impl CheckCache {
             stats.entries += map.entries.len() as u64;
             stats.resident_bytes += map.resident_bytes;
         }
-        stats.remote_hits = self.remote.hits.load(Ordering::Relaxed);
-        stats.remote_misses = self.remote.misses.load(Ordering::Relaxed);
-        stats.remote_degraded = self.remote.degraded.load(Ordering::Relaxed);
-        stats.remote_nanos = self.remote.nanos.load(Ordering::Relaxed);
         stats
     }
 
@@ -619,8 +551,11 @@ impl CheckCache {
     /// [`CheckCache::store_warm`] with newest-generation-wins collision
     /// resolution, for folding sibling snapshots into a live cache: an
     /// existing entry with a generation at least `gen` (including any
-    /// live-computed entry) is kept, an older one is replaced. Returns
-    /// whether the incoming entry was retained.
+    /// live-computed entry) is kept, an older one is replaced — unless
+    /// it already holds the same verdict, in which case it only adopts
+    /// the newer generation. Returns whether a new or changed verdict
+    /// was retained, so re-folding a sibling that re-saved without new
+    /// work counts nothing.
     pub(crate) fn merge_warm(
         &self,
         key: CacheKey,
@@ -631,11 +566,16 @@ impl CheckCache {
         self.note_generation(gen);
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
-        match map.entries.get(&key) {
-            Some(existing) if existing.gen >= gen => return false,
-            Some(_) => {}
-            None if map.entries.len() >= self.shard_capacity => return false,
-            None => {}
+        if let Some(existing) = map.entries.get_mut(&key) {
+            if existing.gen >= gen {
+                return false;
+            }
+            if existing.value == value {
+                existing.gen = gen;
+                return false;
+            }
+        } else if map.entries.len() >= self.shard_capacity {
+            return false;
         }
         map.insert(
             key,
@@ -822,33 +762,6 @@ impl EnvProfile {
         self.preds
             .iter()
             .map(|(name, info)| (*name, info.fingerprint))
-    }
-
-    /// The per-predicate fingerprint table in name order, as owned
-    /// pairs — the v2 snapshot key material, exposed for the remote
-    /// cache tier: write-through clients attach these fingerprints to
-    /// published entries and validate fetched ones against them
-    /// ([`EnvProfile::closure_matches`]).
-    pub fn pred_fingerprints(&self) -> Vec<(String, u64)> {
-        self.preds
-            .iter()
-            .map(|(name, info)| (name.as_str().to_string(), info.fingerprint))
-            .collect()
-    }
-
-    /// Whether an entry that directly mentions the predicates named in
-    /// `mentions`, computed under an environment that recorded
-    /// `recorded` per-predicate fingerprints, is still valid under this
-    /// profile — the remote-tier twin of the snapshot loader's
-    /// transitive closure check (`EnvProfile::closure_unchanged`
-    /// semantics over owned name/fingerprint pairs).
-    pub fn closure_matches(&self, recorded: &[(String, u64)], mentions: &[String]) -> bool {
-        let old: BTreeMap<Symbol, u64> = recorded
-            .iter()
-            .map(|(name, fp)| (Symbol::intern(name), *fp))
-            .collect();
-        let mentions: Vec<Symbol> = mentions.iter().map(|name| Symbol::intern(name)).collect();
-        self.closure_unchanged(&old, &mentions)
     }
 
     /// Whether an entry that directly mentions `mentions` is still
@@ -1304,10 +1217,6 @@ mod tests {
             entries: 9,
             evictions: 1,
             resident_bytes: 900,
-            remote_hits: 3,
-            remote_misses: 1,
-            remote_degraded: 0,
-            remote_nanos: 500,
         };
         let b = CacheStats {
             hits: 13,
@@ -1316,24 +1225,11 @@ mod tests {
             entries: 11,
             evictions: 4,
             resident_bytes: 1100,
-            remote_hits: 4,
-            remote_misses: 1,
-            remote_degraded: 2,
-            remote_nanos: 750,
         };
         let d = b.since(&a);
         assert_eq!((d.hits, d.warm_hits, d.misses, d.entries), (3, 4, 1, 11));
         assert_eq!((d.evictions, d.resident_bytes), (3, 1100));
         assert_eq!(d.lookups(), 4);
-        assert_eq!(
-            (
-                d.remote_hits,
-                d.remote_misses,
-                d.remote_degraded,
-                d.remote_nanos
-            ),
-            (1, 0, 2, 250)
-        );
     }
 
     #[test]

@@ -63,12 +63,10 @@ pub mod cache;
 mod check;
 mod inst;
 pub mod persist;
-pub mod remote;
 pub mod verify;
 
 pub use cache::{env_fingerprint, CacheStats, CheckCache, EnvProfile, SHARD_COUNT};
 pub use check::{CheckConfig, CheckCtx, Reduction};
 pub use inst::Instantiation;
 pub use persist::{MergeStats, PersistError};
-pub use remote::{RemoteCache, RemoteEntry, RemoteHit, RemoteLookup, RemotePublish, RemoteQuery};
 pub use verify::{Obligation, Prover, UnfoldProver, Verdict, VerifyConfig};

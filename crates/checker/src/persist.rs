@@ -200,10 +200,12 @@ impl From<io::Error> for PersistError {
 /// Outcome of folding one snapshot into a live cache with [`merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Entries inserted (or replacing an older-generation entry).
+    /// Entries inserted (or replacing an older-generation entry that
+    /// held a different verdict).
     pub merged: u64,
     /// Entries skipped on collision (the resident entry was newer or
-    /// equal in generation) or because their shard was at capacity.
+    /// equal in generation, or already held the same verdict) or
+    /// because their shard was at capacity.
     pub skipped: u64,
     /// Entries dropped for touching a predicate whose definition
     /// changed since the snapshot was saved.
@@ -250,9 +252,6 @@ const GENERATION_SUB_BITS: u32 = 12;
 /// before; `floor` (callers pass the highest generation they have
 /// absorbed) keeps a process ahead of future-stamped siblings it has
 /// already merged.
-///
-/// The cache server reuses this stamp for `put` batches, which is what
-/// makes its anti-entropy watermark strictly increasing.
 pub fn generation_stamp(floor: u64) -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
     static LAST: AtomicU64 = AtomicU64::new(0);

@@ -7,10 +7,10 @@
 //! space-separated tokens, opened by the protocol tag [`WIRE_VERSION`]
 //! and a frame kind, followed by the typed payload.
 //!
-//! # Grammar (version `sling8`)
+//! # Grammar (version `sling9`)
 //!
 //! ```text
-//! frame      := "sling8" SP kind SP payload          ; one line, LF-terminated on the wire
+//! frame      := "sling9" SP kind SP payload          ; one line, LF-terminated on the wire
 //! token      := atom | string | integer
 //! atom       := [^ "\n]+                             ; bare word (tags, numbers)
 //! string     := '"' escaped* '"'                     ; \\ \" \n \r \t escapes
@@ -50,9 +50,7 @@
 //!               verified:u64 refuted:u64 confirmed:u64 unknown:u64
 //!               refuted0:u64 cegir:u64 vseconds:f64bits cseconds:f64bits
 //!               swarnings:u64
-//!               rhits:u64 rmisses:u64 rdegraded:u64 rseconds:f64bits
 //! cache      := hits:u64 warm:u64 misses:u64 entries:u64 evictions:u64 resident:u64
-//!               rhits:u64 rmisses:u64 rdegraded:u64 rnanos:u64
 //! severity   := "warn" | "deny"
 //! diagnostic := code:string severity ("-" | "f" fn:string) lo:u64 hi:u64
 //!               message:string nnotes:u64 note:string*
@@ -99,12 +97,14 @@ use crate::spec::{ExactCell, ExactVal, InputSpec, ValueSpec};
 use crate::CacheStats;
 
 /// Protocol tag opening every frame; bump on any grammar change.
-/// (`sling8` dropped the executor atom from `config` and `metrics` and
+/// (`sling9` dropped the remote-tier counters from `cache` and
+/// `metrics`, with the remote cache tier and its `get`/`put`/`sync`
+/// productions gone;
+/// `sling8` dropped the executor atom from `config` and `metrics` and
 /// the compile timing from `metrics`, with the bytecode tier gone;
 /// `sling7` grew `cache` and `metrics` with the remote-tier counters
-/// (hits, misses, degraded, round-trip time) — and, in the remote-cache
-/// layer, the `get`/`put`/`sync` productions of the distributed
-/// entailment-cache tier (see [`crate::remote`]);
+/// (hits, misses, degraded, round-trip time) and added the
+/// `get`/`put`/`sync` productions of the remote cache tier;
 /// `sling6` added the static-diagnostics payloads: the `diagnostic`
 /// production, the warning count in `metrics`, the warning and
 /// unreachable-location lists in `report` — and, in the serve layer,
@@ -118,7 +118,7 @@ use crate::CacheStats;
 /// `sling2` extended `cachestats` with eviction and residency
 /// counters. Older peers are rejected with [`WireError::Version`]
 /// rather than misparsed.)
-pub const WIRE_VERSION: &str = "sling8";
+pub const WIRE_VERSION: &str = "sling9";
 
 /// Why a wire frame could not be encoded or decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -980,10 +980,6 @@ pub fn write_metrics(w: &mut WireWriter, m: &RunMetrics) {
     w.f64(m.verify_seconds);
     w.f64(m.collect_seconds);
     w.u64(m.static_warnings as u64);
-    w.u64(m.remote_hits);
-    w.u64(m.remote_misses);
-    w.u64(m.remote_degraded);
-    w.f64(m.remote_seconds);
 }
 
 /// Reads [`RunMetrics`] from an open frame.
@@ -1003,10 +999,6 @@ pub fn read_metrics(r: &mut WireReader<'_>) -> Result<RunMetrics, WireError> {
         verify_seconds: r.f64()?,
         collect_seconds: r.f64()?,
         static_warnings: r.usize()?,
-        remote_hits: r.u64()?,
-        remote_misses: r.u64()?,
-        remote_degraded: r.u64()?,
-        remote_seconds: r.f64()?,
     })
 }
 
@@ -1018,10 +1010,6 @@ pub fn write_cache_stats(w: &mut WireWriter, s: &CacheStats) {
     w.u64(s.entries);
     w.u64(s.evictions);
     w.u64(s.resident_bytes);
-    w.u64(s.remote_hits);
-    w.u64(s.remote_misses);
-    w.u64(s.remote_degraded);
-    w.u64(s.remote_nanos);
 }
 
 /// Reads [`CacheStats`] from an open frame.
@@ -1033,10 +1021,6 @@ pub fn read_cache_stats(r: &mut WireReader<'_>) -> Result<CacheStats, WireError>
         entries: r.u64()?,
         evictions: r.u64()?,
         resident_bytes: r.u64()?,
-        remote_hits: r.u64()?,
-        remote_misses: r.u64()?,
-        remote_degraded: r.u64()?,
-        remote_nanos: r.u64()?,
     })
 }
 
@@ -1360,10 +1344,6 @@ mod tests {
             verify_seconds: 0.1 + 0.7,
             collect_seconds: 0.1 + 0.4,
             static_warnings: 6,
-            remote_hits: 7,
-            remote_misses: 8,
-            remote_degraded: 9,
-            remote_seconds: 0.2 + 0.4,
         };
         let mut w = WireWriter::new();
         write_metrics(&mut w, &metrics);
@@ -1381,15 +1361,18 @@ mod tests {
 
         // Wrong protocol tag.
         assert!(matches!(
-            decode_report(&good.replacen(WIRE_VERSION, "sling9", 1)),
-            Err(WireError::Version(v)) if v == "sling9"
+            decode_report(&good.replacen(WIRE_VERSION, "sling10", 1)),
+            Err(WireError::Version(v)) if v == "sling10"
         ));
-        // So is the previous grammar's tag: `sling7` frames still carry
-        // the executor atoms, and must not be misparsed.
-        assert!(matches!(
-            decode_report(&good.replacen(WIRE_VERSION, "sling7", 1)),
-            Err(WireError::Version(v)) if v == "sling7"
-        ));
+        // So are the previous grammars' tags: `sling8` frames still
+        // carry the remote-tier counters and `sling7` frames the
+        // executor atoms, and neither must be misparsed.
+        for old in ["sling8", "sling7"] {
+            assert!(matches!(
+                decode_report(&good.replacen(WIRE_VERSION, old, 1)),
+                Err(WireError::Version(v)) if v == old
+            ));
+        }
         // Wrong frame kind for the decoder.
         assert!(matches!(decode_request(&good), Err(WireError::Syntax(_))));
         // Truncations anywhere must error, never panic.

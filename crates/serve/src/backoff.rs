@@ -1,12 +1,9 @@
-//! Jittered exponential backoff, shared by every reconnecting client.
+//! Jittered exponential backoff for the serve-protocol client's
+//! `connect_retry`, which races a just-booted daemon.
 //!
-//! One schedule serves two callers today: the serve-protocol client's
-//! `connect_retry` (racing a just-booted daemon) and the remote
-//! entailment-cache client's reconnect loop (riding out a dead or
-//! restarting cache server). Both grow `attempt` without bound — a long
-//! deadline, or a cache server that stays down for hours, pushes the
-//! counter to `u32::MAX` and parks it there — so the math here must be
-//! total over the whole `u32` range.
+//! The retry loop grows `attempt` without bound — a long deadline
+//! pushes the counter to `u32::MAX` and parks it there — so the math
+//! here must be total over the whole `u32` range.
 
 use std::time::Duration;
 

@@ -5,10 +5,10 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use sling::backoff::{jitter_seed, retry_delay};
 use sling::wire::WireError;
 use sling::{AnalysisRequest, BatchReport, Diagnostics, Report};
 
+use crate::backoff::{jitter_seed, retry_delay};
 use crate::proto::{ClientFrame, FrameBuffer, PoolStats, ProgramUpload, ServerFrame, VerifyTotals};
 
 /// Why a served analysis failed on the client side.
@@ -363,7 +363,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sling::backoff::{RETRY_BASE, RETRY_CAP};
+    use crate::backoff::{RETRY_BASE, RETRY_CAP};
 
     #[test]
     fn connect_retry_backoff_is_total_at_the_saturated_attempt_counter() {

@@ -33,14 +33,12 @@
 //!   [`Client::analyze_all_uploaded`] as the wire mirrors of the
 //!   in-process batch API.
 //!
-//! A fifth, orthogonal piece is the distributed entailment-cache tier:
-//! [`CacheServer`] (`sling-serve --cache-server`) holds a fleet-shared
-//! memo table that engines join as write-through clients via
-//! [`EngineBuilder::remote_cache`](sling::EngineBuilder::remote_cache)
-//! (`--remote-cache ADDR` on an analysis daemon), speaking the
-//! `get`/`put`/`sync` productions of [`sling::remote`] over the same
-//! versioned codec. Losing the tier degrades engines to local-only
-//! analysis — never fails or stalls them.
+//! Daemons share memoized entailments through one on-disk format: a
+//! snapshot directory. Each daemon saves its own `serve-<pid>.snap`
+//! there and folds its siblings' snapshots in with
+//! [`absorb_snapshot_dir`] — at boot and again on every snapshot tick —
+//! so a running daemon picks up a sibling's verdicts within one
+//! interval.
 //!
 //! The `sling-serve` binary wraps [`Service`] for standalone use; the
 //! `serve_corpus` example in `examples/` replays the list-corpus
@@ -90,13 +88,12 @@
 
 #![warn(missing_docs)]
 
-mod cache_server;
+mod backoff;
 mod client;
 mod pool;
 pub mod proto;
 mod service;
 
-pub use cache_server::{CacheServer, CacheServerStats, NAMESPACE_CAP};
 pub use client::{Client, ServeError};
 pub use pool::{fingerprint, EnginePool, PoolError, PoolSettings};
 pub use proto::{PoolStats, ProgramUpload, VerifyTotals};

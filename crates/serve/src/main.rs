@@ -14,12 +14,16 @@
 //! sling-serve --corpus DemoNode --addr 127.0.0.1:7341
 //! # or fully multi-tenant, nothing baked in — clients upload programs:
 //! sling-serve --addr 127.0.0.1:7341 --pool-cap 4
-//! # or a fleet sharing one entailment-cache tier:
-//! sling-serve --cache-server --addr 127.0.0.1:7350
-//! sling-serve --corpus DemoNode --addr 127.0.0.1:7341 --remote-cache 127.0.0.1:7350
-//! sling-serve --corpus DemoNode --addr 127.0.0.1:7342 --remote-cache 127.0.0.1:7350
+//! # or a fleet sharing one snapshot directory, live: each daemon saves
+//! # its own serve-<pid>.snap there and folds its siblings' in at boot
+//! # and on every snapshot tick
+//! sling-serve --corpus DemoNode --addr 127.0.0.1:7341 --cache /var/lib/sling/snaps --snapshot-secs 10
+//! sling-serve --corpus DemoNode --addr 127.0.0.1:7342 --cache /var/lib/sling/snaps --snapshot-secs 10
 //! ```
 
+use std::collections::HashSet;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -32,8 +36,6 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                    [--addr HOST:PORT] [--cache FILE|DIR] [--snapshot-secs N]
                    [--cache-cap N] [--max-conns N] [--parallelism N]
                    [--pool-cap N] [--verify]
-                   [--remote-cache HOST:PORT]
-       sling-serve --cache-server [--addr HOST:PORT]
 
   --program FILE      MiniC source of the default program to serve; with
                       neither --program nor --corpus the daemon boots
@@ -46,12 +48,16 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --cache FILE|DIR    persistent entailment-cache snapshot for the
                       default tenant: warm-loaded at boot, saved on the
                       snapshot interval and at exit. A directory merges
-                      every *.snap inside at boot (corrupt siblings are
-                      skipped with a warning) and saves to
+                      every *.snap inside at boot and again on every
+                      snapshot interval, so running daemons on one
+                      directory share verdicts live (corrupt siblings
+                      are skipped with a warning), and saves to
                       <DIR>/serve-<pid>.snap; a missing, extension-less
                       path is created as a directory. Needs a default
                       tenant (uploaded tenants are ephemeral)
-  --snapshot-secs N   background snapshot period (default 60; needs --cache)
+  --snapshot-secs N   snapshot period: save, and with a directory fold
+                      the siblings in, every N seconds (default 60;
+                      needs --cache)
   --cache-cap N       bound each engine's entailment cache to ~N entries
                       with LRU eviction (default: unbounded within memory)
   --max-conns N       serve at most N concurrent connections; excess
@@ -65,18 +71,7 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
                       ride each batch's `done` epilogue. `SLING_VERIFY=off`
-                      in the daemon's environment overrides this flag
-  --remote-cache ADDR join the distributed entailment-cache tier at ADDR
-                      (a `sling-serve --cache-server` process): every
-                      engine this daemon builds becomes a write-through
-                      client — local shard first, remote lookup on miss,
-                      fresh verdicts uploaded write-behind, periodic
-                      anti-entropy sync. A dead or slow tier degrades
-                      engines to local-only analysis, never fails them
-  --cache-server      run as the cache tier itself: no engines, no
-                      analysis — just the fleet-shared entailment memo
-                      table speaking get/put/sync on --addr. Only --addr
-                      combines with this mode";
+                      in the daemon's environment overrides this flag";
 
 struct Args {
     program: Option<String>,
@@ -84,14 +79,12 @@ struct Args {
     corpus: Option<String>,
     addr: String,
     cache: Option<String>,
-    snapshot_secs: u64,
+    snapshot_secs: Option<u64>,
     cache_cap: Option<usize>,
     max_conns: Option<usize>,
     parallelism: Option<usize>,
     pool_cap: Option<usize>,
     verify: bool,
-    remote_cache: Option<String>,
-    cache_server: bool,
 }
 
 impl Args {
@@ -108,14 +101,12 @@ fn parse_args() -> Result<Args, String> {
         corpus: None,
         addr: "127.0.0.1:7341".to_string(),
         cache: None,
-        snapshot_secs: 60,
+        snapshot_secs: None,
         cache_cap: None,
         max_conns: None,
         parallelism: None,
         pool_cap: None,
         verify: false,
-        remote_cache: None,
-        cache_server: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -130,9 +121,11 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--cache" => args.cache = Some(value("--cache")?),
             "--snapshot-secs" => {
-                args.snapshot_secs = value("--snapshot-secs")?
-                    .parse()
-                    .map_err(|e| format!("bad --snapshot-secs: {e}"))?;
+                args.snapshot_secs = Some(
+                    value("--snapshot-secs")?
+                        .parse()
+                        .map_err(|e| format!("bad --snapshot-secs: {e}"))?,
+                );
             }
             "--cache-cap" => {
                 args.cache_cap = Some(
@@ -163,8 +156,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--verify" => args.verify = true,
-            "--remote-cache" => args.remote_cache = Some(value("--remote-cache")?),
-            "--cache-server" => args.cache_server = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -184,22 +175,11 @@ fn parse_args() -> Result<Args, String> {
              tenants are ephemeral and never snapshotted\n\n{USAGE}"
         ));
     }
-    if args.cache_server {
-        let incompatible = args.has_default_tenant()
-            || args.predicates.is_some()
-            || args.cache.is_some()
-            || args.cache_cap.is_some()
-            || args.max_conns.is_some()
-            || args.parallelism.is_some()
-            || args.pool_cap.is_some()
-            || args.verify
-            || args.remote_cache.is_some();
-        if incompatible {
-            return Err(format!(
-                "--cache-server runs the bare cache tier: only --addr \
-                 combines with it\n\n{USAGE}"
-            ));
-        }
+    if args.snapshot_secs.is_some() && args.cache.is_none() {
+        return Err(format!(
+            "--snapshot-secs needs --cache: it paces the snapshot save and, \
+             with a directory, the sibling fold\n\n{USAGE}"
+        ));
     }
     Ok(args)
 }
@@ -268,9 +248,6 @@ fn build_engine(
     if args.verify {
         builder = builder.verification(VerifySettings::default());
     }
-    if let Some(addr) = &args.remote_cache {
-        builder = builder.remote_cache(addr.clone());
-    }
     Ok(builder.build()?)
 }
 
@@ -317,6 +294,47 @@ fn reap_dead_daemon_snapshots(
     reaped
 }
 
+/// Folds a snapshot directory into the default tenant, at boot and on
+/// every snapshot tick, keeping the warnings bounded: the tick revisits
+/// a corrupt sibling every interval, so each unreadable file is warned
+/// about the first time it is skipped only, and an unreadable directory
+/// once per outage.
+#[derive(Default)]
+struct SiblingFold {
+    warned: HashSet<PathBuf>,
+    scan_failing: bool,
+}
+
+impl SiblingFold {
+    fn run(
+        &mut self,
+        engine: &Engine,
+        dir: &Path,
+        own: Option<&Path>,
+    ) -> Option<sling_serve::DirMerge> {
+        match sling_serve::absorb_snapshot_dir(engine, dir, own) {
+            Ok(outcome) => {
+                self.scan_failing = false;
+                for (path, why) in &outcome.skipped {
+                    if self.warned.insert(path.clone()) {
+                        eprintln!("sling-serve: skipping snapshot {}: {why}", path.display());
+                    }
+                }
+                Some(outcome)
+            }
+            Err(e) => {
+                if !std::mem::replace(&mut self.scan_failing, true) {
+                    eprintln!(
+                        "sling-serve: could not scan snapshot directory {}: {e}",
+                        dir.display()
+                    );
+                }
+                None
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -325,32 +343,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Cache-server mode: no engines, no pool — just the fleet-shared
-    // entailment memo table.
-    if args.cache_server {
-        let server = match sling_serve::CacheServer::bind(&args.addr) {
-            Ok(server) => server,
-            Err(e) => {
-                eprintln!(
-                    "sling-serve: failed to bind cache server on {}: {e}",
-                    args.addr
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        // The boot line is the readiness signal scripts wait for.
-        println!(
-            "sling-serve: cache server listening on {}",
-            server.local_addr()
-        );
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
-        // Serve until killed, like the analysis daemon: no in-band
-        // shutdown (a client must not be able to stop a shared tier).
-        loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
-    }
     let (cache_path, cache_dir) = cache_layout(&args.cache);
     let engine = if args.has_default_tenant() {
         match build_engine(&args, &cache_path) {
@@ -365,32 +357,25 @@ fn main() -> ExitCode {
     };
     // Directory mode: fold every sibling snapshot into the live cache.
     // A corrupt or foreign sibling is a warning, never a boot failure.
+    let mut fold = SiblingFold::default();
     if let (Some(dir), Some(engine)) = (&cache_dir, &engine) {
-        match sling_serve::absorb_snapshot_dir(engine, dir, cache_path.as_deref()) {
-            Ok(outcome) => {
-                for (path, why) in &outcome.skipped {
-                    eprintln!("sling-serve: skipping snapshot {}: {why}", path.display());
-                }
-                println!(
-                    "sling-serve: merged {} entries from {} snapshot(s) in {} ({} skipped)",
-                    outcome.merged,
-                    outcome.files - outcome.skipped.len() as u64,
-                    dir.display(),
-                    outcome.skipped.len()
-                );
-                // The merged entries now live in this cache (and will be
-                // in this daemon's own snapshots), so snapshots of
-                // *dead* daemons are redundant — reap them, or restarts
-                // accumulate one serve-<pid>.snap per boot forever.
-                let reaped = reap_dead_daemon_snapshots(dir, &outcome.skipped);
-                if reaped > 0 {
-                    println!("sling-serve: reaped {reaped} snapshot(s) of exited daemons");
-                }
+        if let Some(outcome) = fold.run(engine, dir, cache_path.as_deref()) {
+            println!(
+                "sling-serve: merged {} entries from {} snapshot(s) in {} ({} skipped)",
+                outcome.merged,
+                outcome.files - outcome.skipped.len() as u64,
+                dir.display(),
+                outcome.skipped.len()
+            );
+            // The merged entries now live in this cache (and will be in
+            // this daemon's own snapshots), so snapshots of *dead*
+            // daemons are redundant — reap them, or restarts accumulate
+            // one serve-<pid>.snap per boot forever. Boot only: the tick
+            // fold below never deletes anything.
+            let reaped = reap_dead_daemon_snapshots(dir, &outcome.skipped);
+            if reaped > 0 {
+                println!("sling-serve: reaped {reaped} snapshot(s) of exited daemons");
             }
-            Err(e) => eprintln!(
-                "sling-serve: could not scan snapshot directory {}: {e}",
-                dir.display()
-            ),
         }
     }
     let warm = engine.as_ref().map_or(0, Engine::warm_entries);
@@ -405,15 +390,12 @@ fn main() -> ExitCode {
         parallelism: args.parallelism,
         cache_capacity: args.cache_cap,
         analysis: Some(sling::AnalysisSettings::default()),
-        remote_cache: args.remote_cache.clone(),
     };
     let pool_cap = args.pool_cap.unwrap_or(DEFAULT_POOL_CAPACITY);
     let pool = EnginePool::new(engine, pool_cap, settings);
+    let interval = Duration::from_secs(args.snapshot_secs.unwrap_or(60).max(1));
     let options = ServeOptions {
-        snapshot_interval: args
-            .cache
-            .is_some()
-            .then(|| Duration::from_secs(args.snapshot_secs.max(1))),
+        snapshot_interval: args.cache.is_some().then_some(interval),
         max_connections: args.max_conns,
         pool_capacity: None, // the pool above carries the capacity
         max_frame_bytes: None,
@@ -430,12 +412,8 @@ fn main() -> ExitCode {
         Some(_) => "default tenant".to_string(),
         None => "no default tenant — uploads only".to_string(),
     };
-    let tier = match &args.remote_cache {
-        Some(addr) => format!(", cache tier {addr}"),
-        None => String::new(),
-    };
     println!(
-        "sling-serve: listening on {} ({} warm cache entries, {} workers, {tenant}, pool cap {pool_cap}{}{tier})",
+        "sling-serve: listening on {} ({} warm cache entries, {} workers, {tenant}, pool cap {pool_cap}{})",
         service.local_addr(),
         warm,
         service.pool().parallelism(),
@@ -445,14 +423,33 @@ fn main() -> ExitCode {
             ""
         }
     );
-    use std::io::Write as _;
     std::io::stdout().flush().ok();
 
     // Serve until killed. The daemon has no in-band shutdown frame (a
     // client must not be able to stop a shared service); deployments
     // stop it with a signal, and the periodic snapshotter bounds what a
-    // hard kill can lose to one interval.
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
+    // hard kill can lose to one interval. In directory mode this loop
+    // is also the live-sharing tick: every snapshot interval it folds
+    // the siblings' snapshots in again, so a running daemon picks up a
+    // sibling's verdicts within one interval. A sibling that has not
+    // re-saved anything new merges 0 entries, and only a tick that
+    // merged something says so.
+    match (&cache_dir, service.engine()) {
+        (Some(dir), Some(engine)) => loop {
+            std::thread::sleep(interval);
+            if let Some(outcome) = fold.run(engine, dir, cache_path.as_deref()) {
+                if outcome.merged > 0 {
+                    println!(
+                        "sling-serve: folded {} new entries from sibling snapshots in {}",
+                        outcome.merged,
+                        dir.display()
+                    );
+                    std::io::stdout().flush().ok();
+                }
+            }
+        },
+        _ => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
     }
 }

@@ -50,12 +50,6 @@ pub struct PoolSettings {
     /// engine is pooled for it. Defaults to the full lint suite — an
     /// upload is untrusted source; set `None` to run uploads ungated.
     pub analysis: Option<AnalysisSettings>,
-    /// Address of a distributed entailment-cache tier (`sling-serve
-    /// --cache-server`) every pool-built engine joins as a
-    /// write-through client
-    /// ([`sling::EngineBuilder::remote_cache`]). `None` (the default)
-    /// keeps engines local-only.
-    pub remote_cache: Option<String>,
 }
 
 impl Default for PoolSettings {
@@ -65,7 +59,6 @@ impl Default for PoolSettings {
             parallelism: None,
             cache_capacity: None,
             analysis: Some(AnalysisSettings::default()),
-            remote_cache: None,
         }
     }
 }
@@ -285,9 +278,6 @@ impl EnginePool {
         }
         if let Some(capacity) = self.settings.cache_capacity {
             builder = builder.cache_capacity(capacity);
-        }
-        if let Some(addr) = &self.settings.remote_cache {
-            builder = builder.remote_cache(addr.clone());
         }
         builder.build()
     }

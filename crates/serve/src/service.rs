@@ -138,7 +138,6 @@ impl Service {
             parallelism: Some(engine.parallelism()),
             cache_capacity: None,
             analysis: Some(sling::AnalysisSettings::default()),
-            remote_cache: None,
         };
         let capacity = options.pool_capacity.unwrap_or(DEFAULT_POOL_CAPACITY);
         Service::bind_pool(
@@ -512,9 +511,12 @@ pub struct DirMerge {
 /// collecting — not propagating — per-file failures: a corrupt sibling
 /// must not take down a boot that has a perfectly good engine.
 ///
-/// This is what `sling-serve --cache DIR` runs at boot, so a fleet of
-/// daemons writing `<name>.snap` files into one directory warm each
-/// other up; it is exposed for in-process services that want the same.
+/// This is what `sling-serve --cache DIR` runs at boot and again on
+/// every snapshot tick, so a fleet of daemons writing `<name>.snap`
+/// files into one directory warm each other up, live; it is exposed
+/// for in-process services that want the same. A re-fold of a sibling
+/// with nothing new merges 0 entries (see [`sling::persist::merge`]),
+/// so a caller folding on a timer can report only what changed.
 pub fn absorb_snapshot_dir(
     engine: &Engine,
     dir: &std::path::Path,

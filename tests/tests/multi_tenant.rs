@@ -1,6 +1,6 @@
 //! Tenant-isolation blitz for the multi-tenant engine pool: one daemon
 //! with no baked-in program serves many concurrent clients, each
-//! uploading its own program over `sling8`. Every tenant's reports must
+//! uploading its own program over `sling9`. Every tenant's reports must
 //! be formula-identical to an in-process run of the same program —
 //! zero cross-tenant bleed — with the pool's hit/miss/eviction
 //! counters observable on the wire, hostile uploads answered with

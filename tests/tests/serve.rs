@@ -185,44 +185,45 @@ fn malformed_frames_get_typed_errors_not_dropped_connections() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling8 hello "), "{line:?}");
+    assert!(line.starts_with("sling9 hello "), "{line:?}");
 
     let bad_frames = [
         "complete nonsense\n",
-        "sling9 analyze 1 - 0\n",                 // wrong protocol version
+        "sling10 analyze 1 - 0\n",                // wrong protocol version
         "sling2 ping\n",                          // previous protocol version
         "sling4 analyze 1 1 \"reverse\" 0\n",     // pre-upload protocol version
         "sling5 analyze 5 - 1 \"reverse\" - 0\n", // pre-diagnostics protocol version
         "sling6 ping\n",                          // pre-cache-tier protocol version
-        "sling8 frobnicate 1\n",                  // unknown frame kind
-        "sling8 analyze 6 steal 0\n",             // unknown tenant tag
-        "sling8 analyze 7 - 1 \"no_such_fn\" - 0\n", // decodes, but unknown target
-        "sling8 analyze 8 - 2 \"reverse\" - 0\n", // truncated batch
-        "sling8 analyze 9 - 1 \"reverse\" - 1 zz 0\n", // bad integer token
+        "sling8 ping\n",                          // remote-cache-tier protocol version
+        "sling9 frobnicate 1\n",                  // unknown frame kind
+        "sling9 analyze 6 steal 0\n",             // unknown tenant tag
+        "sling9 analyze 7 - 1 \"no_such_fn\" - 0\n", // decodes, but unknown target
+        "sling9 analyze 8 - 2 \"reverse\" - 0\n", // truncated batch
+        "sling9 analyze 9 - 1 \"reverse\" - 1 zz 0\n", // bad integer token
     ];
     for frame in bad_frames {
         writer.write_all(frame.as_bytes()).expect("write");
         line.clear();
         reader.read_line(&mut line).expect("error response");
         assert!(
-            line.starts_with("sling8 error "),
+            line.starts_with("sling9 error "),
             "bad frame {frame:?} must be answered with an error frame, \
              got {line:?}"
         );
     }
     // Correlation ids are salvaged when readable.
     writer
-        .write_all(b"sling8 analyze 42 - 1 \"reverse\" oops\n")
+        .write_all(b"sling9 analyze 42 - 1 \"reverse\" oops\n")
         .expect("write");
     line.clear();
     reader.read_line(&mut line).expect("error response");
-    assert!(line.starts_with("sling8 error 42 "), "{line:?}");
+    assert!(line.starts_with("sling9 error 42 "), "{line:?}");
 
     // The connection still serves real work.
-    writer.write_all(b"sling8 ping\n").expect("write");
+    writer.write_all(b"sling9 ping\n").expect("write");
     line.clear();
     reader.read_line(&mut line).expect("pong");
-    assert_eq!(line.trim_end(), "sling8 pong");
+    assert_eq!(line.trim_end(), "sling9 pong");
     drop(writer);
     drop(reader);
 
@@ -269,7 +270,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello banner");
-    assert!(line.starts_with("sling8 hello "), "{line:?}");
+    assert!(line.starts_with("sling9 hello "), "{line:?}");
 
     // Far past the cap, never a newline. The server may close mid-write
     // once the cap trips, so write errors are expected, not failures.
@@ -283,7 +284,7 @@ fn oversized_frames_get_a_typed_error_and_a_disconnect() {
     reader
         .read_line(&mut line)
         .expect("typed error before close");
-    assert!(line.starts_with("sling8 error 0 "), "{line:?}");
+    assert!(line.starts_with("sling9 error 0 "), "{line:?}");
     assert!(line.contains("frame too large"), "{line:?}");
     // Then EOF: the connection is gone, not wedged.
     line.clear();
@@ -381,18 +382,26 @@ fn daemon_booted_from_a_snapshot_directory_is_warm_for_every_sibling() {
         "the corrupt sibling is skipped with a reason, not fatal: {:?}",
         outcome.skipped
     );
+    // The halves share a few verdicts (both compute them); each
+    // distinct entry is merged, and counted, exactly once.
     assert_eq!(
         outcome.merged,
-        a_written + b_written,
-        "disjoint halves merge without loss"
+        engine.cache_stats().entries,
+        "every distinct entry merges, counted once"
     );
+    assert!(outcome.merged >= a_written.max(b_written));
+    assert!(outcome.merged <= a_written + b_written);
+    for half in ["a.snap", "b.snap"] {
+        let again = engine.absorb_snapshot(dir.join(half)).expect("re-folds");
+        assert_eq!(again.merged, 0, "{half} merged without loss");
+    }
     assert_eq!(engine.warm_entries(), outcome.merged);
 
     let service = Service::bind(engine, "127.0.0.1:0").expect("service binds");
     let mut client = Client::connect(service.local_addr()).expect("client connects");
     assert_eq!(
         client.warm_entries(),
-        a_written + b_written,
+        outcome.merged,
         "the hello banner advertises the combined warm count"
     );
 
@@ -411,6 +420,101 @@ fn daemon_booted_from_a_snapshot_directory_is_warm_for_every_sibling() {
     );
 
     service.shutdown().expect("graceful drain");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The live half of directory sharing: daemon B boots on an empty
+/// directory before sibling A has saved anything, then A analyzes
+/// `first` and saves `a.snap`. Returns the directory, both engines,
+/// A's reports and the entry count A wrote.
+fn sibling_saves_after_boot(
+    corpus: &ListCorpus,
+    tag: &str,
+    first: &[AnalysisRequest],
+) -> (std::path::PathBuf, Engine, Engine, Vec<Report>, u64) {
+    let dir = std::env::temp_dir().join(format!("sling-serve-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("snapshot dir");
+
+    let engine_b = corpus_engine(corpus).build().expect("engine B builds");
+    let boot = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert_eq!((boot.files, boot.merged), (0, 0), "B boots cold");
+
+    let engine_a = corpus_engine(corpus).build().expect("engine A builds");
+    let ran_a = engine_a.analyze_all(first).expect("A runs");
+    let written = engine_a
+        .save_cache_to(dir.join("a.snap"))
+        .expect("A snapshots");
+    assert!(written > 0);
+    (dir, engine_a, engine_b, ran_a.reports, written)
+}
+
+fn formulas(reports: &[Report]) -> Vec<String> {
+    reports.iter().map(fingerprint).collect()
+}
+
+#[test]
+fn second_daemon_answers_from_a_siblings_snapshot_with_identical_formulas() {
+    // B's next fold — the one `sling-serve --cache DIR` repeats on every
+    // snapshot tick — takes all of A's verdicts, and B answers A's batch
+    // from them without a single search.
+    let corpus = ListCorpus::new("ServeLiveNode");
+    let batch = corpus.batch(1);
+    let (dir, _engine_a, engine_b, reports_a, written) =
+        sibling_saves_after_boot(&corpus, "live", &batch);
+
+    let fold = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert!(fold.skipped.is_empty(), "{:?}", fold.skipped);
+    assert_eq!(fold.merged, written, "every entry A saved folds into B");
+
+    let ran_b = engine_b.analyze_all(&batch).expect("B runs");
+    assert_eq!(ran_b.cache.misses, 0, "no search reruns: {:?}", ran_b.cache);
+    assert_eq!(ran_b.cache.warm_hits, ran_b.cache.lookups());
+    assert!(ran_b.cache.lookups() > 0);
+    assert_eq!(formulas(&ran_b.reports), formulas(&reports_a));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn refold_absorbs_only_a_siblings_new_entries() {
+    let corpus = ListCorpus::new("ServeRefoldNode");
+    let batch = corpus.batch(1);
+    let (first, rest) = batch.split_at(2);
+    let (dir, engine_a, engine_b, _, written) = sibling_saves_after_boot(&corpus, "refold", first);
+    let snap_a = dir.join("a.snap");
+    let fold = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert_eq!(fold.merged, written);
+
+    // Folding again finds nothing new — neither in the unchanged file
+    // nor after A re-saves the same verdicts under a newer generation,
+    // as its snapshot tick does — and leaves B's cache untouched.
+    let settled = engine_b.cache_stats();
+    let again = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert_eq!(again.merged, 0, "an unchanged sibling merges nothing");
+    assert_eq!(
+        engine_a.save_cache_to(&snap_a).expect("A re-saves"),
+        written
+    );
+    let resaved = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert_eq!(
+        resaved.merged, 0,
+        "a re-save with no new work merges nothing"
+    );
+    assert_eq!(engine_b.cache_stats(), settled);
+    assert_eq!(engine_b.warm_entries(), written);
+
+    // A analyzes the second half and re-saves: only the new entries
+    // fold in, and B answers the second half from them.
+    let ran_a_rest = engine_a.analyze_all(rest).expect("A runs the rest");
+    let grown = engine_a.save_cache_to(&snap_a).expect("A re-snapshots");
+    assert!(grown > written, "the second half adds entries");
+    let delta = sling_serve::absorb_snapshot_dir(&engine_b, &dir, None).expect("directory scans");
+    assert_eq!(delta.merged, grown - written, "only the new entries fold");
+    let ran_b_rest = engine_b.analyze_all(rest).expect("B runs the rest");
+    assert_eq!(ran_b_rest.cache.misses, 0, "{:?}", ran_b_rest.cache);
+    assert_eq!(formulas(&ran_b_rest.reports), formulas(&ran_a_rest.reports));
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

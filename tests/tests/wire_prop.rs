@@ -1,4 +1,4 @@
-//! Property tests for the `sling::wire` codec and the `sling8` frame
+//! Property tests for the `sling::wire` codec and the `sling9` frame
 //! layer on top of it: arbitrary `InputSpec`/`Report`/`CacheStats`
 //! values round-trip bit-identically, requests round-trip with and
 //! without per-request [`SlingConfig`] overrides, `analyze` frames
@@ -208,10 +208,6 @@ fn arb_cache_stats(rng: &mut TestRng) -> CacheStats {
         entries: pick_u64(rng),
         evictions: pick_u64(rng),
         resident_bytes: pick_u64(rng),
-        remote_hits: pick_u64(rng),
-        remote_misses: pick_u64(rng),
-        remote_degraded: pick_u64(rng),
-        remote_nanos: pick_u64(rng),
     }
 }
 
@@ -233,10 +229,6 @@ fn arb_metrics(rng: &mut TestRng) -> RunMetrics {
         verify_seconds: f64::from_bits(pick_u64(rng)),
         collect_seconds: f64::from_bits(pick_u64(rng)),
         static_warnings: (rng.next_u64() % (1 << 20)) as usize,
-        remote_hits: pick_u64(rng),
-        remote_misses: pick_u64(rng),
-        remote_degraded: pick_u64(rng),
-        remote_seconds: f64::from_bits(pick_u64(rng)),
     }
 }
 
@@ -466,7 +458,7 @@ proptest! {
         let upload = arb_upload(&mut rng);
         let analyze_line = encode_analyze_frame(pick_u64(&mut rng), Some(&upload), &[])
             .expect("upload-only frames encode");
-        for old in ["sling6", "sling5", "sling4", "sling3", "sling2", "sling1"] {
+        for old in ["sling8", "sling7", "sling6", "sling5", "sling4", "sling3", "sling2", "sling1"] {
             let downlevel = |line: &str| line.replacen(wire::WIRE_VERSION, old, 1);
             prop_assert!(matches!(
                 wire::decode_request(&downlevel(&request_line)),
