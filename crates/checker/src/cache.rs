@@ -264,11 +264,6 @@ impl Hasher for FingerprintHasher {
 
 type FingerprintBuild = BuildHasherDefault<FingerprintHasher>;
 
-/// Snapshot-generation stamp of entries computed live in this process.
-/// Live entries always beat snapshot entries in newest-generation-wins
-/// collision resolution ([`CheckCache::merge_warm`]).
-pub(crate) const GEN_LIVE: u64 = u64::MAX;
-
 /// One stored verdict plus its provenance: entries loaded from a
 /// persisted cache file are *warm* and counted separately on hits.
 #[derive(Debug, Clone)]
@@ -278,9 +273,6 @@ struct Entry {
     /// Last-access stamp from the shard clock; the LRU victim is the
     /// entry with the smallest stamp.
     stamp: u64,
-    /// Snapshot generation this entry was restored from ([`GEN_LIVE`]
-    /// for entries computed in this process), for newest-wins merging.
-    gen: u64,
     /// Predicates the entry's formula mentions directly — persistence
     /// metadata, so a snapshot can invalidate per predicate.
     preds: Box<[Symbol]>,
@@ -394,11 +386,6 @@ struct Shard {
 pub struct CheckCache {
     shards: Vec<Shard>,
     shard_capacity: usize,
-    /// Highest snapshot generation ever absorbed (via load or merge).
-    /// Saves stamp strictly above it, so a cache that folded in a
-    /// future-stamped sibling (clock skew) still writes snapshots that
-    /// win newest-generation collisions with it.
-    max_generation: AtomicU64,
 }
 
 impl Default for CheckCache {
@@ -427,20 +414,6 @@ impl CheckCache {
         CheckCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(SHARD_COUNT),
-            max_generation: AtomicU64::new(0),
-        }
-    }
-
-    /// Highest snapshot generation this cache has absorbed (0 when it
-    /// never loaded or merged a snapshot). [`crate::persist::save`]
-    /// stamps new snapshots strictly above it.
-    pub(crate) fn max_generation(&self) -> u64 {
-        self.max_generation.load(Ordering::Relaxed)
-    }
-
-    fn note_generation(&self, gen: u64) {
-        if gen != GEN_LIVE {
-            self.max_generation.fetch_max(gen, Ordering::Relaxed);
         }
     }
 
@@ -509,29 +482,28 @@ impl CheckCache {
                 value,
                 warm: false,
                 stamp: 0,
-                gen: GEN_LIVE,
                 preds: preds.into(),
                 bytes: 0,
             },
         );
     }
 
-    /// Inserts an entry loaded from a persisted snapshot; hits on it
-    /// are counted as warm starts ([`CacheStats::warm_hits`]). Warm
-    /// inserts never evict live entries: the entry is dropped when its
-    /// shard is at capacity. Returns whether the entry was actually
-    /// retained, so loaders can report the restored count honestly.
-    pub(crate) fn store_warm(
+    /// Inserts an entry loaded from a persisted snapshot, if its key is
+    /// absent and its shard has room; hits on it are counted as warm
+    /// starts ([`CacheStats::warm_hits`]). A resident entry is never
+    /// replaced and nothing is evicted to make room: verdicts are
+    /// canonical ([`CanonicalQuery::encode`]), so a resident entry
+    /// already holds the verdict on offer. Returns whether the entry
+    /// was inserted.
+    pub(crate) fn insert_warm(
         &self,
         key: CacheKey,
         value: Option<CachedReduction>,
         preds: &[Symbol],
-        gen: u64,
     ) -> bool {
-        self.note_generation(gen);
         let shard = &self.shards[key.shard()];
         let mut map = shard.map.lock().expect("cache lock");
-        if map.entries.len() >= self.shard_capacity && !map.entries.contains_key(&key) {
+        if map.entries.contains_key(&key) || map.entries.len() >= self.shard_capacity {
             return false;
         }
         map.insert(
@@ -540,50 +512,6 @@ impl CheckCache {
                 value,
                 warm: true,
                 stamp: 0,
-                gen,
-                preds: preds.into(),
-                bytes: 0,
-            },
-        );
-        true
-    }
-
-    /// [`CheckCache::store_warm`] with newest-generation-wins collision
-    /// resolution, for folding sibling snapshots into a live cache: an
-    /// existing entry with a generation at least `gen` (including any
-    /// live-computed entry) is kept, an older one is replaced — unless
-    /// it already holds the same verdict, in which case it only adopts
-    /// the newer generation. Returns whether a new or changed verdict
-    /// was retained, so re-folding a sibling that re-saved without new
-    /// work counts nothing.
-    pub(crate) fn merge_warm(
-        &self,
-        key: CacheKey,
-        value: Option<CachedReduction>,
-        preds: &[Symbol],
-        gen: u64,
-    ) -> bool {
-        self.note_generation(gen);
-        let shard = &self.shards[key.shard()];
-        let mut map = shard.map.lock().expect("cache lock");
-        if let Some(existing) = map.entries.get_mut(&key) {
-            if existing.gen >= gen {
-                return false;
-            }
-            if existing.value == value {
-                existing.gen = gen;
-                return false;
-            }
-        } else if map.entries.len() >= self.shard_capacity {
-            return false;
-        }
-        map.insert(
-            key,
-            Entry {
-                value,
-                warm: true,
-                stamp: 0,
-                gen,
                 preds: preds.into(),
                 bytes: 0,
             },
@@ -703,7 +631,7 @@ pub(crate) fn formula_pred_mentions(f: &SymHeap) -> Vec<Symbol> {
 /// and the definitions of the predicates its formula (transitively)
 /// mentions, so an entry survives a predicate-library edit whenever
 /// none of those definitions changed — see
-/// [`crate::persist::load`]. Long-lived engines build one profile at
+/// [`crate::persist::merge`]. Long-lived engines build one profile at
 /// construction and pass it to every [`crate::persist`] call.
 #[derive(Debug, Clone)]
 pub struct EnvProfile {
@@ -921,11 +849,18 @@ impl CanonicalQuery {
     /// (cannot happen for reductions of the canonicalized query; guarded
     /// anyway so a surprise degrades to "don't cache" instead of a wrong
     /// entry).
+    ///
+    /// The encoding is canonical: `residual` ascends, and `inst` lists
+    /// binders by index, then free names. Isomorphic queries therefore
+    /// store byte-identical verdicts, whatever the source names of their
+    /// binders (which order `r.inst`) or the addresses of their cells
+    /// (which order `r.residual`).
     pub(crate) fn encode(&self, r: &Reduction) -> Option<CachedReduction> {
         let mut residual = Vec::with_capacity(r.residual.len());
         for loc in r.residual.domain() {
             residual.push(*self.loc_ids.get(&loc)?);
         }
+        residual.sort_unstable();
         let mut inst = Vec::with_capacity(r.inst.len());
         for (sym, val) in r.inst.iter() {
             let name = match self.binders.iter().position(|b| *b == sym) {
@@ -942,6 +877,13 @@ impl CanonicalQuery {
             };
             inst.push((name, cval));
         }
+        // Binders by index; free names keep `r.inst`'s name order (they
+        // are part of the key, so it is already canonical). Comparing
+        // indices, never symbols, keeps the interner lock off this path.
+        inst.sort_by_key(|(name, _)| match name {
+            CanonName::Binder(i) => (0, *i),
+            CanonName::Free(_) => (1, 0),
+        });
         Some(CachedReduction { residual, inst })
     }
 
@@ -1055,6 +997,61 @@ mod tests {
             CanonicalQuery::new(&m, &f1, scope).key,
             CanonicalQuery::new(&m, &f2, scope).key
         );
+    }
+
+    #[test]
+    fn isomorphic_queries_store_identical_verdicts() {
+        // The binder names order the checker's instantiation, but not
+        // the stored verdict: `exists a, b` and `exists b, a` over one
+        // 1-cell `DNode` share a key and must export the same bytes.
+        let node = sym("DNode");
+        let mut types = TypeEnv::new();
+        types
+            .define(StructDef {
+                name: node,
+                fields: vec![
+                    FieldDef {
+                        name: sym("next"),
+                        ty: FieldTy::Ptr(node),
+                    },
+                    FieldDef {
+                        name: sym("prev"),
+                        ty: FieldTy::Ptr(node),
+                    },
+                ],
+            })
+            .unwrap();
+        let mut preds = PredEnv::new();
+        for d in parse_predicates(
+            "pred dll(hd: DNode*, pr: DNode*, tl: DNode*, nx: DNode*) :=
+                 emp & hd == nx & pr == tl
+               | exists u. hd -> DNode{next: u, prev: pr} * dll(u, hd, tl, nx);",
+        )
+        .unwrap()
+        {
+            preds.define(d).unwrap();
+        }
+        let mut heap = Heap::new();
+        heap.insert(Loc::new(1), HeapCell::new(node, vec![Val::Nil, Val::Nil]));
+        let mut stack = Stack::new();
+        stack.bind(sym("x"), Val::Addr(Loc::new(1)));
+        let model = StackHeapModel::new(stack, heap);
+
+        let stored = |src: &str| {
+            let f = parse_formula(src).unwrap();
+            let cache = CheckCache::new();
+            let ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &cache);
+            assert!(ctx.check(&model, &f).is_some(), "{src} holds");
+            let entries = cache.entries_for(ctx.env_tag);
+            assert_eq!(entries.len(), 1, "{src}");
+            let entry = &entries[0];
+            (entry.key.clone(), entry.value.clone().expect("positive"))
+        };
+        let (key_ab, red_ab) = stored("exists a, b. dll(x, a, b, nil)");
+        let (key_ba, red_ba) = stored("exists b, a. dll(x, b, a, nil)");
+        assert_eq!(key_ab, key_ba, "binder names do not reach the key");
+        assert_eq!(red_ab.inst.len(), 2, "both binders are bound: {red_ab:?}");
+        assert_eq!(red_ab, red_ba, "one key, one verdict encoding");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The canonical keys of a [`CheckCache`] are stable across processes —
 //! they contain no raw addresses, interner ids, or hash seeds — so a
 //! cache populated by one run can warm the next. This module snapshots a
-//! cache to a versioned binary file ([`save`]), restores it ([`load`]),
-//! and folds sibling snapshots into an already-live cache ([`merge`]),
-//! turning corpus-scale workloads into incremental ones: the second
-//! process over the same predicate library starts with every previously
-//! established entailment already answered.
+//! cache to a versioned binary file ([`save`]) and folds a snapshot into
+//! a cache, fresh at boot or live ([`merge`]), turning corpus-scale
+//! workloads into incremental ones: the second process over the same
+//! predicate library starts with every previously established
+//! entailment already answered.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! A fixed header — magic `SLNGCACH`, format version, FNV-1a checksum of
 //! the body — followed by the body:
@@ -17,7 +17,6 @@
 //! ```text
 //! env_tag: u64            ; overall environment fingerprint
 //! types_tag: u64          ; fingerprint of the TypeEnv alone
-//! generation: u64         ; save stamp ([`generation_stamp`]), newest-wins merge order
 //! npreds: u64             ; per-predicate fingerprint table
 //!   (name: string, fingerprint: u64)*
 //! nentries: u64
@@ -38,32 +37,28 @@
 //!   ([`PersistError::FingerprintMismatch`]); a *partial*
 //!   predicate-library change drops only the entries whose formulas
 //!   (transitively) touch a changed, removed, or renamed predicate —
-//!   the survivors are loaded and the drop is reported as
-//!   [`PersistError::PartialStale`].
+//!   the survivors are folded in and the drop is counted in
+//!   [`MergeStats::stale`].
 //!
-//! Entries restored by [`load`] or [`merge`] are marked *warm*: hits on
-//! them are reported in [`CacheStats::warm_hits`](crate::CacheStats::warm_hits)
+//! # Folding
+//!
+//! [`merge`] inserts each snapshot entry whose key is absent and whose
+//! shard has room; a resident entry is never replaced and nothing is
+//! evicted. Verdicts are canonical, so two caches that computed one key
+//! hold byte-identical verdicts for it: fold order cannot change an
+//! answer, and re-folding an unchanged sibling inserts nothing.
+//!
+//! Entries folded in by [`merge`] are marked *warm*: hits on them are
+//! reported in [`CacheStats::warm_hits`](crate::CacheStats::warm_hits)
 //! so callers can observe how much a warm start actually saved.
 //!
 //! Saves are atomic (write to a sibling temp file, then rename), so a
 //! crash mid-save leaves any previous snapshot intact and concurrent
 //! readers never observe a half-written file. Temp files stranded by a
 //! crashed save are swept away by the next successful [`save`] or
-//! [`load`] over the same path (only temps from other processes that
+//! [`merge`] over the same path (only temps from other processes that
 //! have sat untouched for at least a minute; in-flight saves — which
 //! hold their temp for milliseconds — are never affected).
-//!
-//! # Load vs merge
-//!
-//! [`load`] is the boot path: it assumes an empty (or expendable)
-//! cache, replaces colliding entries unconditionally, and surfaces
-//! partial staleness as a typed error so the caller can decide to
-//! rewrite the snapshot. [`merge`] is the fold path for long-lived
-//! processes absorbing sibling snapshots: collisions resolve
-//! newest-generation-wins (live-computed entries always win), capacity
-//! is enforced without evicting live entries, and the outcome is
-//! returned as counts ([`MergeStats`]) because a partially stale
-//! sibling is routine, not exceptional.
 //!
 //! # Examples
 //!
@@ -79,7 +74,7 @@
 //! persist::save(&cache, &profile, &path)?;
 //!
 //! let restored = CheckCache::new();
-//! assert_eq!(persist::load(&restored, &profile, &path)?, 0);
+//! assert_eq!(persist::merge(&restored, &profile, &path)?, persist::MergeStats::default());
 //!
 //! // A different *type* environment rejects the file wholesale.
 //! let mut other_types = TypeEnv::new();
@@ -89,7 +84,7 @@
 //! })?;
 //! let other = EnvProfile::new(&other_types, &PredEnv::new());
 //! assert!(matches!(
-//!     persist::load(&restored, &other, &path),
+//!     persist::merge(&restored, &other, &path),
 //!     Err(persist::PersistError::FingerprintMismatch { .. })
 //! ));
 //! std::fs::remove_file(&path).ok();
@@ -117,10 +112,9 @@ use crate::cache::{
 const MAGIC: &[u8; 8] = b"SLNGCACH";
 
 /// Current format version; bump on any layout change.
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 
-/// Why a snapshot file could not be loaded (or was loaded only
-/// partially).
+/// Why a snapshot file could not be folded in.
 #[derive(Debug)]
 pub enum PersistError {
     /// The file could not be read at all.
@@ -141,20 +135,6 @@ pub enum PersistError {
         /// The fingerprint recorded in the file.
         found: u64,
     },
-    /// The predicate library changed *partially* since the snapshot was
-    /// saved. The `kept` entries — those touching only unchanged
-    /// predicates — **were loaded** into the cache before this error
-    /// was returned; only the `dropped` entries, whose formulas touch a
-    /// changed, removed, or renamed predicate, were discarded. Callers
-    /// that treat the cache as an optimization count `kept` as the warm
-    /// size and may want to re-save to shed the stale portion.
-    PartialStale {
-        /// Entries restored (valid under the current environment).
-        kept: u64,
-        /// Entries discarded because a predicate they depend on
-        /// changed.
-        dropped: u64,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -172,11 +152,6 @@ impl std::fmt::Display for PersistError {
                 f,
                 "cache snapshot was computed under a different type environment \
                  (expected fingerprint {expected:#018x}, file has {found:#018x})"
-            ),
-            PersistError::PartialStale { kept, dropped } => write!(
-                f,
-                "cache snapshot partially stale: {kept} entries restored, \
-                 {dropped} dropped for touching changed predicates"
             ),
         }
     }
@@ -200,12 +175,10 @@ impl From<io::Error> for PersistError {
 /// Outcome of folding one snapshot into a live cache with [`merge`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Entries inserted (or replacing an older-generation entry that
-    /// held a different verdict).
+    /// Entries inserted.
     pub merged: u64,
-    /// Entries skipped on collision (the resident entry was newer or
-    /// equal in generation, or already held the same verdict) or
-    /// because their shard was at capacity.
+    /// Entries not inserted: the key was already resident, or its
+    /// shard was at capacity.
     pub skipped: u64,
     /// Entries dropped for touching a predicate whose definition
     /// changed since the snapshot was saved.
@@ -222,79 +195,11 @@ impl std::fmt::Display for MergeStats {
     }
 }
 
-/// Milliseconds since the Unix epoch — the wall-clock component of
-/// [`generation_stamp`].
-fn now_millis() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Low bits of every [`generation_stamp`] reserved for the per-process
-/// monotonic sub-counter (4096 distinct stamps per millisecond before
-/// the counter borrows from future milliseconds — and even then stamps
-/// only ever move forward).
-const GENERATION_SUB_BITS: u32 = 12;
-
-/// A fresh generation stamp for newest-wins ordering: wall-clock
-/// milliseconds shifted left by `GENERATION_SUB_BITS`, forced
-/// *strictly* above both every stamp this process has already issued
-/// and `floor`.
-///
-/// The sub-counter is the same-millisecond tiebreak: two snapshots
-/// saved by one process within a single millisecond used to receive
-/// equal generations, and equal generations merge order-dependently
-/// (the colliding offer is skipped, so whichever snapshot merged first
-/// won). With the counter, stamps issued by a process are strictly
-/// increasing, so newest-wins is deterministic regardless of merge
-/// order. Cross-host, wall clocks remain the ordering, exactly as
-/// before; `floor` (callers pass the highest generation they have
-/// absorbed) keeps a process ahead of future-stamped siblings it has
-/// already merged.
-pub fn generation_stamp(floor: u64) -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static LAST: AtomicU64 = AtomicU64::new(0);
-    let wall = now_millis().saturating_mul(1 << GENERATION_SUB_BITS);
-    let mut prev = LAST.load(Ordering::Relaxed);
-    loop {
-        let next = wall
-            .max(prev.saturating_add(1))
-            .max(floor.saturating_add(1));
-        match LAST.compare_exchange_weak(prev, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return next,
-            Err(observed) => prev = observed,
-        }
-    }
-}
-
 /// Snapshots every entry of `cache` computed under `profile`'s
 /// environment to `path`, returning how many entries were written. The
 /// write is atomic: a sibling temp file is renamed over `path` only
 /// once fully written.
-///
-/// The snapshot's generation stamp is a [`generation_stamp`]: wall
-/// clock plus a per-process monotonic sub-counter (so two saves within
-/// one millisecond still order deterministically), and never at or
-/// below the highest generation this cache has absorbed — so a process
-/// that merged a future-stamped sibling (cross-host clock skew) still
-/// writes snapshots that win newest-generation [`merge`] collisions
-/// against it. Wall clocks remain the cross-host ordering, so skew
-/// between hosts that never exchange snapshots can still mis-order; a
-/// shared directory self-corrects after one merge-save cycle.
 pub fn save(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> io::Result<u64> {
-    let generation = generation_stamp(cache.max_generation());
-    save_at(cache, profile, path, generation)
-}
-
-/// [`save`] with an explicit generation stamp (tests pin generations to
-/// make newest-wins merging deterministic).
-pub(crate) fn save_at(
-    cache: &CheckCache,
-    profile: &EnvProfile,
-    path: &Path,
-    generation: u64,
-) -> io::Result<u64> {
     let entries = cache.entries_for(profile.env_tag());
     let table: Vec<(Symbol, u64)> = profile.pred_table().collect();
     let index_of: BTreeMap<Symbol, u32> = table
@@ -306,7 +211,6 @@ pub(crate) fn save_at(
     let mut body = Vec::with_capacity(64 + 128 * entries.len());
     write_u64(&mut body, profile.env_tag());
     write_u64(&mut body, profile.types_tag());
-    write_u64(&mut body, generation);
     write_u64(&mut body, table.len() as u64);
     for (name, fingerprint) in &table {
         write_bytes(&mut body, name.as_str().as_bytes());
@@ -417,7 +321,7 @@ const STALE_TEMP_AGE: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Removes temp files stranded next to `path` by *crashed* saves: a
 /// crash between `fs::write` and `fs::rename` leaves `<stem>.tmp.<pid>.<n>`
-/// behind forever, so every successful [`save`] and every [`load`]
+/// behind forever, so every successful [`save`] and every [`merge`]
 /// sweeps the siblings. Two guards keep in-flight saves safe: temps of
 /// the current process are never touched (a concurrent [`save`] on
 /// another thread may be mid-write), and temps of other processes are
@@ -469,7 +373,6 @@ struct ParsedEntry {
 
 /// A fully parsed, environment-validated snapshot.
 struct ParsedSnapshot {
-    generation: u64,
     entries: Vec<ParsedEntry>,
     /// Entries discarded for touching changed predicates.
     dropped: u64,
@@ -479,8 +382,7 @@ struct ParsedSnapshot {
 /// problems (corruption, truncation, version skew) and a changed type
 /// environment are errors; a partially changed predicate library drops
 /// the affected entries and reports them in
-/// [`ParsedSnapshot::dropped`]. The cache is untouched — callers insert
-/// the surviving entries with their own collision policy.
+/// [`ParsedSnapshot::dropped`]. The cache is untouched.
 fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, PersistError> {
     let mut r = Reader::new(bytes);
 
@@ -506,7 +408,6 @@ fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, 
             found: file_types_tag,
         });
     }
-    let generation = r.u64()?;
 
     let npreds = r.u64()? as usize;
     let mut table_names: Vec<Symbol> = Vec::with_capacity(npreds.min(1 << 16));
@@ -596,55 +497,21 @@ fn parse_snapshot(bytes: &[u8], profile: &EnvProfile) -> Result<ParsedSnapshot, 
             "trailing bytes after entries".into(),
         ));
     }
-    Ok(ParsedSnapshot {
-        generation,
-        entries,
-        dropped,
-    })
+    Ok(ParsedSnapshot { entries, dropped })
 }
 
-/// Loads the snapshot at `path` into `cache`, marking every restored
-/// entry warm, and returns how many entries were actually retained
-/// (less than the file's entry count when the target cache is near its
-/// capacity). The snapshot must have been saved under the same type
-/// environment; see [`PersistError`] for the rejection cases.
-///
-/// A *partial* predicate-library change is not a rejection: entries
-/// touching only unchanged predicates are loaded, the rest are dropped,
-/// and the split is reported as [`PersistError::PartialStale`] — the
-/// cache **does** hold the `kept` entries when that error is returned.
-/// Structurally invalid files leave the cache untouched.
-pub fn load(cache: &CheckCache, profile: &EnvProfile, path: &Path) -> Result<u64, PersistError> {
-    sweep_stale_temps(path);
-    let bytes = fs::read(path)?;
-    let parsed = parse_snapshot(&bytes, profile)?;
-    let mut loaded = 0;
-    for entry in parsed.entries {
-        if cache.store_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
-            loaded += 1;
-        }
-    }
-    if parsed.dropped > 0 {
-        return Err(PersistError::PartialStale {
-            kept: loaded,
-            dropped: parsed.dropped,
-        });
-    }
-    Ok(loaded)
-}
-
-/// Folds the snapshot at `path` into an already-live `cache`:
-/// collisions resolve newest-generation-wins (entries computed live in
-/// this process always beat snapshot entries; between snapshots the
-/// later save wins), capacity is enforced without evicting live
-/// entries, and entries touching changed predicates are dropped. The
-/// counts come back as [`MergeStats`]; only structural problems and a
-/// changed type environment are errors.
+/// Folds the snapshot at `path` into `cache`, fresh or live: each
+/// entry is inserted, marked warm, when its key is absent and its shard
+/// has room (see [Folding](self#folding)); entries touching changed
+/// predicates are dropped. The counts come back as [`MergeStats`]; only
+/// an unreadable or structurally invalid file and a changed type
+/// environment are errors, and they leave the cache untouched.
 pub fn merge(
     cache: &CheckCache,
     profile: &EnvProfile,
     path: &Path,
 ) -> Result<MergeStats, PersistError> {
+    sweep_stale_temps(path);
     let bytes = fs::read(path)?;
     let parsed = parse_snapshot(&bytes, profile)?;
     let mut stats = MergeStats {
@@ -652,7 +519,7 @@ pub fn merge(
         ..MergeStats::default()
     };
     for entry in parsed.entries {
-        if cache.merge_warm(entry.key, entry.value, &entry.preds, parsed.generation) {
+        if cache.insert_warm(entry.key, entry.value, &entry.preds) {
             stats.merged += 1;
         } else {
             stats.skipped += 1;
@@ -812,8 +679,8 @@ mod tests {
         // A fresh cache in a "new process": every verdict is answered
         // warm, bit-identically to an uncached search.
         let warm = CheckCache::new();
-        let loaded = load(&warm, &profile, &path).unwrap();
-        assert_eq!(loaded, written);
+        let stats = merge(&warm, &profile, &path).unwrap();
+        assert_eq!(stats.merged, written);
         assert_eq!(warm.stats().entries, saved_stats.entries);
 
         let warm_ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &warm);
@@ -874,7 +741,7 @@ mod tests {
             .unwrap();
         let other_profile = EnvProfile::new(&other_types, &preds);
         let other = CheckCache::new();
-        let err = load(&other, &other_profile, &path).unwrap_err();
+        let err = merge(&other, &other_profile, &path).unwrap_err();
         assert!(!err.to_string().is_empty());
         match err {
             PersistError::FingerprintMismatch { expected, found } => {
@@ -883,7 +750,7 @@ mod tests {
             }
             unexpected => panic!("expected FingerprintMismatch, got {unexpected:?}"),
         }
-        assert_eq!(other.stats().entries, 0, "rejected load must not insert");
+        assert_eq!(other.stats().entries, 0, "a rejected merge must not insert");
         std::fs::remove_file(&path).ok();
     }
 
@@ -944,12 +811,8 @@ mod tests {
         assert_ne!(profile_v1.env_tag(), profile_v2.env_tag());
 
         let warm = CheckCache::new();
-        match load(&warm, &profile_v2, &path) {
-            Err(PersistError::PartialStale { kept, dropped }) => {
-                assert_eq!((kept, dropped), (1, 1));
-            }
-            other => panic!("expected PartialStale, got {other:?}"),
-        }
+        let stats = merge(&warm, &profile_v2, &path).unwrap();
+        assert_eq!((stats.merged, stats.stale), (1, 1), "{stats}");
         assert_eq!(warm.stats().entries, 1, "the rcell entry survives");
 
         // The survivor answers rcell queries warm under the new env.
@@ -1015,13 +878,9 @@ mod tests {
         let v2 = mk(&src("emp & x == x"));
         let p2 = EnvProfile::new(&types, &v2);
         let warm = CheckCache::new();
-        match load(&warm, &p2, &path) {
-            Err(PersistError::PartialStale { kept, dropped }) => {
-                assert_eq!(kept, 0, "wrap depends on the changed inner");
-                assert!(dropped > 0);
-            }
-            other => panic!("expected PartialStale, got {other:?}"),
-        }
+        let stats = merge(&warm, &p2, &path).unwrap();
+        assert_eq!(stats.merged, 0, "wrap depends on the changed inner");
+        assert!(stats.stale > 0, "{stats}");
         assert_eq!(warm.stats().entries, 0);
         std::fs::remove_file(&path).ok();
     }
@@ -1048,135 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_overlapping_snapshots_is_newest_wins_union() {
-        // Two caches with one shared key holding *different* synthetic
-        // values (impossible via checking, handcrafted here) and one
-        // private key each: merging both must produce the three-key
-        // union with the newer generation winning the collision.
-        let (types, preds) = envs();
-        let profile = EnvProfile::new(&types, &preds);
-        let scope = QueryScope {
-            env_tag: profile.env_tag(),
-            node_budget: 7,
-            fuel_slack: 3,
-        };
-        let key = |text: &str| CacheKey::new(scope, text.to_string());
-        let red = |ids: &[u32]| {
-            Some(CachedReduction {
-                residual: ids.to_vec(),
-                inst: Vec::new(),
-            })
-        };
-
-        let older = CheckCache::new();
-        older.store(key("shared"), red(&[1]), &[]);
-        older.store(key("only-old"), red(&[2]), &[]);
-        let newer = CheckCache::new();
-        newer.store(key("shared"), red(&[9]), &[]);
-        newer.store(key("only-new"), red(&[3]), &[]);
-
-        let dir = std::env::temp_dir();
-        let old_path = dir.join(format!("sling-merge-old-{}.snap", std::process::id()));
-        let new_path = dir.join(format!("sling-merge-new-{}.snap", std::process::id()));
-        save_at(&older, &profile, &old_path, 100).unwrap();
-        save_at(&newer, &profile, &new_path, 200).unwrap();
-
-        // Merge in both orders: the result must be identical.
-        for order in [[&old_path, &new_path], [&new_path, &old_path]] {
-            let live = CheckCache::new();
-            let mut totals = MergeStats::default();
-            for p in order {
-                let stats = merge(&live, &profile, p).unwrap();
-                totals.merged += stats.merged;
-                totals.skipped += stats.skipped;
-            }
-            assert_eq!(live.stats().entries, 3, "union of both key sets");
-            // 4 entries offered; every offer is accounted either way.
-            // Old-then-new replaces the shared key (counted merged);
-            // new-then-old skips the older shared offer.
-            assert_eq!(totals.merged + totals.skipped, 4);
-            assert!(totals.merged >= 3, "{totals:?}");
-            let winner = live.lookup(&key("shared")).expect("shared key present");
-            assert_eq!(
-                winner.expect("positive verdict").residual,
-                vec![9],
-                "the newer generation must win the collision"
-            );
-        }
-        std::fs::remove_file(&old_path).ok();
-        std::fs::remove_file(&new_path).ok();
-    }
-
-    #[test]
-    fn generation_stamps_are_strictly_monotonic_and_respect_floors() {
-        let a = generation_stamp(0);
-        let b = generation_stamp(0);
-        assert!(b > a, "back-to-back stamps must order strictly");
-        // A floor from a future-stamped sibling: the stamp lands above
-        // it, and later stamps never rewind below the raised watermark.
-        let future = b + (1 << 20);
-        let c = generation_stamp(future);
-        assert!(c > future);
-        let d = generation_stamp(0);
-        assert!(d > c, "the counter never rewinds after a high floor");
-    }
-
-    #[test]
-    fn same_millisecond_snapshots_merge_deterministically() {
-        // Two snapshots stamped back-to-back — the same wall-clock
-        // millisecond in practice — used to receive equal generations,
-        // and equal generations merge order-dependently (the colliding
-        // offer is skipped, so whichever snapshot merged first won).
-        // The per-process sub-counter must break the tie: both merge
-        // orders agree that the later save wins.
-        let (types, preds) = envs();
-        let profile = EnvProfile::new(&types, &preds);
-        let scope = QueryScope {
-            env_tag: profile.env_tag(),
-            node_budget: 7,
-            fuel_slack: 3,
-        };
-        let key = |text: &str| CacheKey::new(scope, text.to_string());
-        let red = |ids: &[u32]| {
-            Some(CachedReduction {
-                residual: ids.to_vec(),
-                inst: Vec::new(),
-            })
-        };
-
-        let first = CheckCache::new();
-        first.store(key("shared"), red(&[1]), &[]);
-        let second = CheckCache::new();
-        second.store(key("shared"), red(&[9]), &[]);
-
-        let g1 = generation_stamp(0);
-        let g2 = generation_stamp(0);
-        assert!(g2 > g1, "sub-counter must break the wall-clock tie");
-        assert_ne!(g1 >> GENERATION_SUB_BITS, 0, "wall component present");
-
-        let dir = std::env::temp_dir();
-        let p1 = dir.join(format!("sling-samems-1-{}.snap", std::process::id()));
-        let p2 = dir.join(format!("sling-samems-2-{}.snap", std::process::id()));
-        save_at(&first, &profile, &p1, g1).unwrap();
-        save_at(&second, &profile, &p2, g2).unwrap();
-
-        for order in [[&p1, &p2], [&p2, &p1]] {
-            let live = CheckCache::new();
-            for p in order {
-                merge(&live, &profile, p).unwrap();
-            }
-            let winner = live.lookup(&key("shared")).expect("shared key present");
-            assert_eq!(
-                winner.expect("positive verdict").residual,
-                vec![9],
-                "the later save must win regardless of merge order"
-            );
-        }
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
     fn merge_never_replaces_live_entries() {
         let (types, preds) = envs();
         let profile = EnvProfile::new(&types, &preds);
@@ -1196,7 +926,7 @@ mod tests {
             &[],
         );
         let path = temp_path("live-wins");
-        save_at(&snapshot_cache, &profile, &path, u64::MAX - 1).unwrap();
+        save(&snapshot_cache, &profile, &path).unwrap();
 
         // The live cache computed its own verdict for the same key.
         let live = CheckCache::new();
@@ -1214,7 +944,7 @@ mod tests {
         assert_eq!(
             kept.expect("positive").residual,
             vec![8],
-            "a live-computed entry beats any snapshot generation"
+            "a resident entry is never replaced"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1267,43 +997,34 @@ mod tests {
         std::fs::write(&path, &flipped).unwrap();
         let fresh = CheckCache::new();
         assert!(matches!(
-            load(&fresh, &profile, &path),
-            Err(PersistError::Corrupted(_))
-        ));
-        assert_eq!(fresh.stats().entries, 0, "rejected load must not insert");
-        assert!(matches!(
             merge(&fresh, &profile, &path),
             Err(PersistError::Corrupted(_))
         ));
+        assert_eq!(fresh.stats().entries, 0, "a rejected merge must not insert");
 
-        // Truncations anywhere must error, never panic — through both
-        // entry points.
+        // Truncations anywhere must error, never panic.
         for cut in [0, 3, 9, 13, 19, 27, 35, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
             assert!(
-                load(&CheckCache::new(), &profile, &path).is_err(),
-                "truncation at {cut} must be rejected"
-            );
-            assert!(
                 merge(&CheckCache::new(), &profile, &path).is_err(),
-                "merge truncation at {cut} must be rejected"
+                "truncation at {cut} must be rejected"
             );
         }
 
         // Not a snapshot at all.
         std::fs::write(&path, b"definitely not a cache").unwrap();
         assert!(matches!(
-            load(&CheckCache::new(), &profile, &path),
+            merge(&CheckCache::new(), &profile, &path),
             Err(PersistError::Corrupted(_))
         ));
 
         // A past or future format version is refused, not misparsed.
-        for v in [1u32, 99] {
+        for v in [1u32, 2, 99] {
             let mut versioned = good.clone();
             versioned[8..12].copy_from_slice(&v.to_le_bytes());
             std::fs::write(&path, &versioned).unwrap();
             assert!(matches!(
-                load(&CheckCache::new(), &profile, &path),
+                merge(&CheckCache::new(), &profile, &path),
                 Err(PersistError::UnsupportedVersion(got)) if got == v
             ));
         }
@@ -1311,7 +1032,7 @@ mod tests {
         // A missing file surfaces as Io.
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            load(&CheckCache::new(), &profile, &path),
+            merge(&CheckCache::new(), &profile, &path),
             Err(PersistError::Io(_))
         ));
     }
@@ -1335,7 +1056,8 @@ mod tests {
         // both of which must survive.
         let stale = parent.join(format!("{stem}.tmp.999999999.0"));
         let fresh = parent.join(format!("{stem}.tmp.999999998.0"));
-        let own = parent.join(format!("{stem}.tmp.{}.7", std::process::id()));
+        // Counter u64::MAX: a name no save of this test run can reuse.
+        let own = parent.join(format!("{stem}.tmp.{}.{}", std::process::id(), u64::MAX));
         let plant_stale = || {
             std::fs::write(&stale, b"half-written snapshot").unwrap();
             let file = std::fs::OpenOptions::new()
@@ -1360,39 +1082,13 @@ mod tests {
 
         plant_stale();
         let restored = CheckCache::new();
-        assert!(load(&restored, &profile, &path).unwrap() > 0);
-        assert!(!stale.exists(), "load must sweep aged temps too");
+        assert!(merge(&restored, &profile, &path).unwrap().merged > 0);
+        assert!(!stale.exists(), "merge must sweep aged temps too");
         assert!(fresh.exists());
         assert!(own.exists());
 
         std::fs::remove_file(&fresh).ok();
         std::fs::remove_file(&own).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_reports_only_retained_entries() {
-        // Loading into a near-capacity cache keeps what fits; the
-        // returned count must reflect what was retained, not the file.
-        use crate::SHARD_COUNT;
-        let (types, preds) = envs();
-        let profile = EnvProfile::new(&types, &preds);
-        let cache = CheckCache::new();
-        let ctx = CheckCtx::with_cache(&types, &preds, Default::default(), &cache);
-        let f = parse_formula("plist(x)").unwrap();
-        for n in 0..(4 * SHARD_COUNT as u64) {
-            let _ = ctx.check(&list_model(n, 1), &f);
-        }
-        let path = temp_path("capacity");
-        let written = save(&cache, &profile, &path).unwrap();
-
-        let tiny = CheckCache::with_capacity(SHARD_COUNT); // one entry per shard
-        let loaded = load(&tiny, &profile, &path).unwrap();
-        assert_eq!(loaded, tiny.stats().entries);
-        assert!(
-            loaded < written,
-            "a tiny cache cannot retain the whole snapshot ({loaded} vs {written})"
-        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1417,7 +1113,7 @@ mod tests {
         let path = temp_path("filter");
         assert_eq!(save(&cache, &profile_a, &path).unwrap(), 1);
         let only_a = CheckCache::new();
-        assert_eq!(load(&only_a, &profile_a, &path).unwrap(), 1);
+        assert_eq!(merge(&only_a, &profile_a, &path).unwrap().merged, 1);
         std::fs::remove_file(&path).ok();
     }
 }

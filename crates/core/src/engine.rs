@@ -58,8 +58,8 @@
 //! the least-recently-used entry of the landing shard is evicted
 //! ([`CacheStats::evictions`], [`CacheStats::resident_bytes`]).
 //! [`Engine::absorb_snapshot`] folds sibling processes' snapshots into
-//! the live cache, newest-generation-wins on collisions — the scale-out
-//! story for fleets sharing a snapshot directory.
+//! the live cache, inserting only keys it does not already hold — the
+//! way fleets share a snapshot directory.
 //!
 //! # Examples
 //!
@@ -265,9 +265,7 @@ impl EngineBuilder {
     /// invariant is graded against its siblings by bounded unfolding
     /// (see [`sling_checker::verify`]), and refutation witnesses drive
     /// up to [`VerifySettings::cegir_rounds`] counterexample-guided
-    /// re-collection rounds. Off by default; setting the `SLING_VERIFY`
-    /// environment variable to `off`/`0`/`false` force-disables the
-    /// pass at run time without rebuilding the engine.
+    /// re-collection rounds. Off by default.
     pub fn verification(mut self, settings: VerifySettings) -> EngineBuilder {
         self.config.verify = Some(settings);
         self
@@ -282,16 +280,19 @@ impl EngineBuilder {
     }
 
     /// Makes the entailment cache persistent: at `build()` the engine
-    /// warm-starts from the snapshot at `path` (if one exists and was
-    /// written under the same program types and predicate library), and
-    /// [`Engine::save_cache`] writes the cache back to the same path.
+    /// folds the snapshot at `path` into its cache
+    /// ([`sling_checker::persist::merge`]) if one exists and was written
+    /// under the same program types, and [`Engine::save_cache`] writes
+    /// the cache back to the same path. When some entries were dropped
+    /// for touching changed predicates, the build re-saves the
+    /// survivors, so the next boot does not drop them again.
     ///
-    /// A missing file, a corrupted file, or a snapshot from a different
-    /// environment never fails the build — the cache is an optimization,
-    /// so the engine simply starts cold. [`Engine::warm_entries`]
-    /// reports how many entries were actually restored; callers that
-    /// need the typed rejection reason use
-    /// [`sling_checker::persist::load`] directly.
+    /// A missing file, a corrupted file, a snapshot of another format
+    /// version, or one from a different environment never fails the
+    /// build — the cache is an optimization, so the engine simply
+    /// starts cold. [`Engine::warm_entries`] reports how many entries
+    /// were folded in; callers that need the typed rejection reason
+    /// use [`sling_checker::persist::merge`] directly.
     pub fn cache_path(mut self, path: impl Into<PathBuf>) -> EngineBuilder {
         self.cache_path = Some(path.into());
         self
@@ -376,17 +377,18 @@ impl EngineBuilder {
         // A partially stale snapshot still warms the engine with its
         // surviving entries; only the stale subset re-runs cold.
         let warm_entries = match &self.cache_path {
-            Some(path) if path.exists() => match persist::load(&cache, &profile, path) {
-                Ok(n) => n,
-                Err(PersistError::PartialStale { kept, .. }) => {
-                    // Re-save the surviving subset under the current
-                    // profile right away: the next boot then loads
-                    // clean instead of re-dropping the same stale
-                    // entries. Best-effort — the snapshot is an
-                    // optimization, so an unwritable path never fails
-                    // the build.
-                    let _ = persist::save(&cache, &profile, path);
-                    kept
+            Some(path) if path.exists() => match persist::merge(&cache, &profile, path) {
+                Ok(stats) => {
+                    if stats.stale > 0 {
+                        // Re-save the surviving subset under the current
+                        // profile right away: the next boot then folds
+                        // clean instead of re-dropping the same stale
+                        // entries. Best-effort — the snapshot is an
+                        // optimization, so an unwritable path never
+                        // fails the build.
+                        let _ = persist::save(&cache, &profile, path);
+                    }
+                    stats.merged
                 }
                 Err(_) => 0,
             },
@@ -539,7 +541,7 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Entries restored from the [`EngineBuilder::cache_path`] snapshot
+    /// Entries folded in from the [`EngineBuilder::cache_path`] snapshot
     /// when this engine was built, plus entries folded in later by
     /// [`Engine::absorb_snapshot`] (`0` for a cold start).
     pub fn warm_entries(&self) -> u64 {
@@ -576,13 +578,14 @@ impl Engine {
     }
 
     /// Folds a sibling process's snapshot into this engine's *live*
-    /// cache ([`sling_checker::persist::merge`]): key collisions
-    /// resolve newest-generation-wins (entries this engine computed
-    /// itself always win), capacity is respected without evicting live
-    /// entries, and entries touching predicates whose definitions
-    /// changed since the sibling saved are dropped. Merged entries are
-    /// warm — hits on them count in [`CacheStats::warm_hits`] — and
-    /// [`Engine::warm_entries`] grows by the merged count.
+    /// cache ([`sling_checker::persist::merge`]): an entry is inserted
+    /// only when its key is absent and its shard has room, so a
+    /// resident entry is never replaced and nothing is evicted, and
+    /// entries touching predicates whose definitions changed since the
+    /// sibling saved are dropped. Verdicts are canonical, so fold order
+    /// cannot change an answer. Merged entries are warm — hits on them
+    /// count in [`CacheStats::warm_hits`] — and [`Engine::warm_entries`]
+    /// grows by the merged count.
     ///
     /// Long-lived services use this at boot to fold every snapshot in a
     /// cache directory instead of loading exactly one; see
@@ -1005,8 +1008,8 @@ mod tests {
             .is_some());
         assert_eq!(v1.save_cache().unwrap(), 2);
 
-        // v2: pslist's base case changed, pscell untouched. The load is
-        // partially stale: the pscell entry survives, and the build must
+        // v2: pslist's base case changed, pscell untouched. The snapshot
+        // is partially stale: the pscell entry survives, and the build must
         // immediately re-save the survivor under the v2 profile.
         let v2 = Engine::builder()
             .program_source(src)
@@ -1016,15 +1019,17 @@ mod tests {
             .cache_path(&path)
             .build()
             .unwrap();
-        assert_eq!(v2.warm_entries(), 1, "the pscell entry survives the load");
+        assert_eq!(v2.warm_entries(), 1, "the pscell entry survives the fold");
 
-        // A third boot over the v2 environment now loads clean — the
+        // A third boot over the v2 environment now folds clean — the
         // stale entry is gone from the snapshot, not just from memory.
         let fresh = CheckCache::new();
         let profile = EnvProfile::new(v2.types(), v2.preds());
-        assert!(
-            matches!(persist::load(&fresh, &profile, &path), Ok(1)),
-            "re-saved snapshot must load without PartialStale"
+        let stats = persist::merge(&fresh, &profile, &path).unwrap();
+        assert_eq!(
+            (stats.merged, stats.stale),
+            (1, 0),
+            "the re-saved snapshot holds only the survivor: {stats}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -70,8 +70,7 @@ usage: sling-serve [--program FILE --predicates FILE | --corpus NODE]
   --verify            grade every inferred invariant with the static
                       verification post-pass (counterexample-guided
                       refinement on refutation); the summed grade totals
-                      ride each batch's `done` epilogue. `SLING_VERIFY=off`
-                      in the daemon's environment overrides this flag";
+                      ride each batch's `done` epilogue";
 
 struct Args {
     program: Option<String>,

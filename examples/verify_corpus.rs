@@ -12,8 +12,8 @@
 //! ```
 //!
 //! Exit status: 0 when no refutation survives (grades printed), 1 when
-//! one does, 2 on misuse. `SLING_VERIFY=off` in the environment makes
-//! the pass inert; the gate reports that and passes vacuously.
+//! one does, 2 on misuse. A selection with no invariant at all grades
+//! nothing; the gate reports that and passes vacuously.
 
 use sling::{InvariantGrade, VerifySettings};
 use sling_suite::eval::{grade_summary, run_corpus, EvalConfig};
@@ -73,11 +73,8 @@ fn main() {
             precision,
         ),
         None => {
-            // Nothing graded: the pass was disabled from the outside.
-            println!(
-                "corpus: no invariant graded (SLING_VERIFY off?); \
-                 gate passes vacuously"
-            );
+            // Nothing graded: the selection inferred no invariant.
+            println!("corpus: no invariant graded; gate passes vacuously");
             return;
         }
     }

@@ -165,9 +165,108 @@ fn absorbing_the_same_snapshot_twice_adds_nothing() {
     assert_eq!(
         (second.merged, second.skipped),
         (0, written),
-        "same generation, same keys: everything skips"
+        "every key is already resident: everything skips"
     );
     assert_eq!(engine.warm_entries(), written, "idempotent warm count");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a report infers, without the run accounting: `metrics` and
+/// `cache` differ by design between a warm and a cold engine.
+fn inferred(reports: &[Report]) -> Vec<String> {
+    reports
+        .iter()
+        .map(|r| format!("{:?}", (r.target, &r.locations, &r.declared_locations)))
+        .collect()
+}
+
+#[test]
+fn fold_order_does_not_change_the_cache_or_its_answers() {
+    let corpus = ListCorpus::new("LifecycleOrderNode");
+    let dir = temp_dir("order");
+    let a_path = dir.join("a.snap");
+    let b_path = dir.join("b.snap");
+    // Rounds 0, 1 and 2 of the batch draw distinct input seeds.
+    let rounds = corpus.batch(3);
+    let (a_batch, rest) = rounds.split_at(4);
+    let (b_batch, third) = rest.split_at(4);
+
+    // Two siblings on different inputs and worker counts: they share
+    // many keys, and each computed its shared verdicts on its own.
+    let sibling_a = engine_for(&corpus)
+        .parallelism(1)
+        .build()
+        .expect("A builds");
+    sibling_a.analyze_all(a_batch).expect("A runs");
+    sibling_a.save_cache_to(&a_path).expect("A saves");
+    let sibling_b = engine_for(&corpus)
+        .parallelism(2)
+        .build()
+        .expect("B builds");
+    sibling_b.analyze_all(b_batch).expect("B runs");
+    sibling_b.save_cache_to(&b_path).expect("B saves");
+
+    // X folds a then b; Y folds b then a.
+    let fold = |first: &PathBuf, second: &PathBuf| {
+        let engine = engine_for(&corpus).build().expect("engine builds");
+        engine.absorb_snapshot(first).expect("first fold");
+        let before = engine.cache_stats().entries;
+        let stats = engine.absorb_snapshot(second).expect("second fold");
+        let added = engine.cache_stats().entries - before;
+        assert_eq!(stats.merged, added, "merged counts inserted entries");
+        assert!(stats.skipped > 0, "the siblings share keys: {stats}");
+        engine
+    };
+    let x = fold(&a_path, &b_path);
+    let y = fold(&b_path, &a_path);
+    assert_eq!(x.cache_stats().entries, y.cache_stats().entries);
+
+    let cold = engine_for(&corpus).build().expect("engine builds");
+    let expected = inferred(&cold.analyze_all(third).expect("cold runs").reports);
+    for (name, engine) in [("a then b", &x), ("b then a", &y)] {
+        let batch = engine.analyze_all(third).expect("warm runs");
+        assert!(batch.cache.warm_hits > 0, "{name}: {:?}", batch.cache);
+        assert_eq!(inferred(&batch.reports), expected, "{name}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn version_2_snapshots_are_rejected_and_boot_cold() {
+    let corpus = ListCorpus::new("LifecycleV2Node");
+    let dir = temp_dir("v2");
+    let path = dir.join("old.snap");
+
+    let seeder = engine_for(&corpus).build().expect("engine builds");
+    seeder
+        .analyze(&AnalysisRequest::new("traverse").input(corpus.one(3, 4)))
+        .expect("seed run");
+    assert!(seeder.save_cache_to(&path).expect("snapshot saves") > 0);
+    // The version word follows the 8-byte magic.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let profile = sling::EnvProfile::new(seeder.types(), seeder.preds());
+    let cache = sling::CheckCache::new();
+    assert!(matches!(
+        sling::persist::merge(&cache, &profile, &path),
+        Err(sling::PersistError::UnsupportedVersion(2))
+    ));
+    assert_eq!(cache.stats().entries, 0);
+
+    let booted = engine_for(&corpus)
+        .cache_path(&path)
+        .build()
+        .expect("a stale format never fails the build");
+    assert_eq!(booted.warm_entries(), 0, "a v2 snapshot boots cold");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes,
+        "the file is left as is"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -180,21 +180,18 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
         builder.build().expect("program checks")
     };
 
-    // The typed split is observable at the persist layer: probe the
+    // The split is observable at the persist layer: probe the
     // still-untouched snapshot under the mutated profile (a snapshotless
-    // engine build derives the profile without loading or rewriting the
+    // engine build derives the profile without folding or rewriting the
     // file).
     let probed = mutated_engine(None);
     let profile = sling::EnvProfile::new(probed.types(), probed.preds());
-    let survivors = match sling::persist::load(&sling::CheckCache::new(), &profile, &path) {
-        Err(sling::PersistError::PartialStale { kept, dropped }) => {
-            assert!(kept > 0, "entries touching only sll must survive");
-            assert_eq!(kept + dropped, written);
-            assert!(dropped > 0, "entries touching lseg must be dropped");
-            kept
-        }
-        other => panic!("expected PartialStale, got {other:?}"),
-    };
+    let probe = sling::persist::merge(&sling::CheckCache::new(), &profile, &path)
+        .expect("a partially stale snapshot still folds");
+    let survivors = probe.merged;
+    assert!(survivors > 0, "entries touching only sll must survive");
+    assert!(probe.stale > 0, "entries touching lseg must be dropped");
+    assert_eq!(survivors + probe.stale, written, "{probe}");
 
     let mutated = mutated_engine(Some(&path));
     let restored = mutated.warm_entries();
@@ -211,13 +208,16 @@ fn partial_predicate_change_keeps_untouched_entries_warm() {
         batch.cache
     );
 
-    // The partially-stale load re-saved the pruned snapshot in place,
-    // so the next load under this library is clean — no stale entries
+    // The partially stale build re-saved the pruned snapshot in place,
+    // so the next fold under this library is clean — no stale entries
     // left to re-drop on every boot.
-    match sling::persist::load(&sling::CheckCache::new(), &profile, &path) {
-        Ok(loaded) => assert_eq!(loaded, survivors),
-        other => panic!("expected a clean reload after the re-save, got {other:?}"),
-    }
+    let refold = sling::persist::merge(&sling::CheckCache::new(), &profile, &path)
+        .expect("the re-saved snapshot folds");
+    assert_eq!(
+        (refold.merged, refold.stale),
+        (survivors, 0),
+        "expected a clean fold after the re-save: {refold}"
+    );
     std::fs::remove_file(&path).ok();
 }
 
